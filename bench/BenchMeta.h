@@ -7,9 +7,8 @@
 //
 // Every BENCH_*.json carries the same "meta" header so results from
 // different machines, build types, and sanitizer configurations are
-// never compared apples-to-oranges: build type, sanitizer flags,
-// whether observability instrumentation is compiled in, the effective
-// thread count, and a wall-clock timestamp.
+// never compared apples-to-oranges: build type, sanitizer flags, the
+// effective thread count, and a wall-clock timestamp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +18,6 @@
 #include "support/BuildInfo.h"
 #include "support/Env.h"
 #include "support/ThreadPool.h"
-#include "support/Trace.h"
 
 #include <ctime>
 #include <filesystem>
@@ -52,8 +50,6 @@ inline std::string benchMetaJson(const char *BenchName) {
   Out += "    \"build_type\": \"" PDT_BENCH_BUILD_TYPE "\",\n";
   Out += std::string("    \"sanitizers\": ") +
          (PDT_BENCH_SANITIZE ? "\"address,undefined\"" : "\"none\"") + ",\n";
-  Out += std::string("    \"tracing_compiled_in\": ") +
-         (Trace::compiledIn() ? "true" : "false") + ",\n";
   Out += "    \"build\": " + buildInfoJson() + ",\n";
   Out += "    \"threads\": " +
          std::to_string(ThreadPool::defaultThreadCount()) + ",\n";

@@ -128,7 +128,7 @@ int main(int argc, char **argv) {
     std::cerr << "FAIL: " << Why << "\n";
   };
 
-  if (Metrics::compiledIn() && !Metrics::enabled())
+  if (!Metrics::enabled())
     Metrics::enable();
 
   //===--------------------------------------------------------------------===//
@@ -241,20 +241,17 @@ int main(int argc, char **argv) {
   // runs over identical bucket semantics.
   double ServerP50 = 0, ServerP99 = 0;
   uint64_t ServerCount = 0;
-  if (Metrics::compiledIn()) {
-    MetricsSnapshot Snap = Metrics::snapshot();
-    const MetricsSnapshot::Histogram &H =
-        Snap.histogram(Histo::ServeRequestNs);
-    ServerCount = H.Count;
-    ServerP50 = H.quantileNs(0.5);
-    ServerP99 = H.quantileNs(0.99);
-    uint64_t WantTimed = WantRequests + corpusMix().size();
-    if (H.Count < WantTimed)
-      Fail("server histogram timed " + std::to_string(H.Count) + " of " +
-           std::to_string(WantTimed) + " requests");
-    if (Snap.counter(Metric::ServeAnalyses) == 0)
-      Fail("serve.analyses never incremented under load");
-  }
+  MetricsSnapshot Snap = Metrics::snapshot();
+  const MetricsSnapshot::Histogram &H = Snap.histogram(Histo::ServeRequestNs);
+  ServerCount = H.Count;
+  ServerP50 = H.quantileNs(0.5);
+  ServerP99 = H.quantileNs(0.99);
+  uint64_t WantTimed = WantRequests + corpusMix().size();
+  if (H.Count < WantTimed)
+    Fail("server histogram timed " + std::to_string(H.Count) + " of " +
+         std::to_string(WantTimed) + " requests");
+  if (Snap.counter(Metric::ServeAnalyses) == 0)
+    Fail("serve.analyses never incremented under load");
 
   ServiceCounters Counters = Svc.counters();
   TestStats Accumulated = Svc.accumulatedStats();
@@ -400,8 +397,6 @@ int main(int argc, char **argv) {
        << "  \"drain\": {\"wall_ns\": " << DrainNs
        << ", \"refused_after\": " << (RefusedAfterDrain ? "true" : "false")
        << "},\n"
-       << "  \"tracing_compiled_in\": "
-       << (Metrics::compiledIn() ? "true" : "false") << ",\n"
        << "  \"failures\": " << Failures << "\n"
        << "}\n";
 

@@ -242,11 +242,9 @@ int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
   auto EmitReport = [&](const char *FileName, const char *Config,
                         BatchMode Mode) {
     setBatchModeOverride(Mode);
-    if (Metrics::compiledIn()) {
-      Metrics::reset();
-      if (!Metrics::enabled())
-        Metrics::enable();
-    }
+    Metrics::reset();
+    if (!Metrics::enabled())
+      Metrics::enable();
     TestStats S;
     auto Start = std::chrono::steady_clock::now();
     DependenceGraph::build(Prog, Symbols, &S, false, Threads);

@@ -9,8 +9,8 @@
 //
 // Two timed legs over the identical program:
 //
-//   * disarmed: instrumentation compiled in (default build) but not
-//     armed — the production configuration;
+//   * disarmed: instrumentation not armed — the production
+//     configuration;
 //   * armed:    Trace + Metrics recording every span and counter.
 //
 // A third, untimed leg runs a fixed coupled kernel and an explicit
@@ -187,8 +187,8 @@ int main(int argc, char **argv) {
   SymbolRangeMap Symbols;
   Symbols.try_emplace("n", Interval(1, std::nullopt));
 
-  // Interleaved paired reps: disarmed (the production configuration —
-  // compiled in, not armed) vs everything armed.
+  // Interleaved paired reps: disarmed (the production configuration)
+  // vs everything armed.
   Leg Disarmed, Armed;
   double Overhead = timeBuilds(Reps, Prog, Symbols, Threads, Disarmed, Armed);
 
@@ -225,21 +225,17 @@ int main(int argc, char **argv) {
     if (E.Category && KnownLayers.count(E.Category))
       Layers.insert(E.Category);
 
-  if (Trace::compiledIn()) {
-    if (Events.empty())
-      Fail("tracing is compiled in but the armed run recorded no spans");
-    if (Layers.size() < 6)
-      Fail("trace covers only " + std::to_string(Layers.size()) +
-           " instrumented layers (need >= 6)");
-    if (Snap.counter(Metric::PairsTested) == 0)
-      Fail("metrics recorded no tested pairs in the armed run");
-  } else if (!Events.empty()) {
-    Fail("tracing is compiled out but spans were recorded");
-  }
+  if (Events.empty())
+    Fail("the armed run recorded no spans");
+  if (Layers.size() < 6)
+    Fail("trace covers only " + std::to_string(Layers.size()) +
+         " instrumented layers (need >= 6)");
+  if (Snap.counter(Metric::PairsTested) == 0)
+    Fail("metrics recorded no tested pairs in the armed run");
 
   // Only the full run has enough work to time the difference above
   // scheduler noise; the paper-facing contract is < 5%.
-  if (!Smoke && Trace::compiledIn() && Overhead > 0.05)
+  if (!Smoke && Overhead > 0.05)
     Fail("armed overhead " + std::to_string(Overhead * 100) +
          "% exceeds the 5% contract");
 
@@ -262,8 +258,6 @@ int main(int argc, char **argv) {
        << "  \"edges_identical\": "
        << (Armed.EdgeReport == Disarmed.EdgeReport ? "true" : "false")
        << ",\n"
-       << "  \"tracing_compiled_in\": "
-       << (Trace::compiledIn() ? "true" : "false") << ",\n"
        << "  \"failures\": " << Failures << "\n"
        << "}\n";
 

@@ -116,7 +116,7 @@ int main(int argc, char **argv) {
       std::filesystem::temp_directory_path(EC) /
       ("pdt-x6-store-" + std::to_string(static_cast<unsigned>(getpid())));
   bool StoreActive =
-      !EC && resultStoreCompiledIn() &&
+      !EC &&
       ResultStore::activate(StoreDir.string(),
                             analyzerOptionsFingerprint(AnalyzerOptions()));
 

@@ -144,26 +144,6 @@ int main(int argc, char **argv) {
     NumNests = 4;
   double ReconcileTol = Smoke ? 0.25 : 0.05;
 
-  if (!Trace::compiledIn()) {
-    std::printf("x7 profile: tracing compiled out (PDT_TRACING=OFF); "
-                "nothing to attribute\n");
-    // Still emit the self-diff artifact pair so the depprof_selfdiff
-    // ctest stays green in tracing-off builds (same convention as
-    // bench_x8's compiled-out path): two renders of the same minimal
-    // report diff clean by construction.
-    RunReport::reset();
-    RunReport::noteTool("bench_x7_profile");
-    RunReport::noteWorkload("workload", "x3");
-    RunReport::noteWorkload("config", "tracing-compiled-out");
-    std::string Minimal = RunReport::render();
-    if (!writeArtifact(benchOutputPath("BENCH_profile_run1.json"), Minimal) ||
-        !writeArtifact(benchOutputPath("BENCH_profile_run2.json"), Minimal)) {
-      std::cerr << "FAIL: cannot write run reports\n";
-      return 1;
-    }
-    return 0;
-  }
-
   // The X3 workload, verbatim: same generator, same seed.
   std::mt19937_64 Rng(0xBADC0FFEE);
   std::string Source = generateRandomProgramSource(Rng, NumNests,

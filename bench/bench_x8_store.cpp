@@ -128,10 +128,7 @@ int runPhase(const std::string &Phase, const std::string &Dir,
   std::string Source = workloadSource(Nests);
 
   int64_t T0 = nowNs();
-  if (!ResultStore::activate(Dir, analyzerOptionsFingerprint(Opt))) {
-    std::cerr << "store activation failed (compiled out?)\n";
-    return 1;
-  }
+  ResultStore::activate(Dir, analyzerOptionsFingerprint(Opt));
   int64_t TOpen = nowNs();
   AnalysisResult R = analyzeSource(Source, "x8-workload", Opt);
   int64_t T1 = nowNs();
@@ -268,23 +265,6 @@ int main(int argc, char **argv) {
   if (!Phase.empty())
     return runPhase(Phase, Dir, Nests ? Nests : 8);
 
-  if (!resultStoreCompiledIn()) {
-    std::printf("x8 store: PDT_PERSISTENT_STORE is compiled out; "
-                "nothing to measure\n");
-    std::ofstream Json(benchOutputPath("BENCH_store.json"));
-    Json << "{\n"
-         << benchMetaJson("x8_store") << ",\n"
-         << "  \"compiled_in\": false,\n  \"failures\": 0\n}\n";
-    // Still emit the pdt-report-v1 companion so the history-append
-    // ctest stays green in store-off builds.
-    RunReport::reset();
-    RunReport::noteTool("bench_x8_store");
-    RunReport::noteWorkload("mode", "store");
-    RunReport::noteWorkload("config", "compiled-out");
-    RunReport::writeTo(benchOutputPath("BENCH_store_report.json"));
-    return 0;
-  }
-
   Nests = Smoke ? 10 : 28;
   fs::path StoreDir =
       fs::temp_directory_path() /
@@ -294,11 +274,9 @@ int main(int argc, char **argv) {
   // Store-less baseline in this process: the reference answers. Armed
   // metrics so the pdt-report-v1 companion document below carries the
   // graph counters the perf ledger keeps.
-  if (pdt::Metrics::compiledIn()) {
-    pdt::Metrics::reset();
-    if (!pdt::Metrics::enabled())
-      pdt::Metrics::enable();
-  }
+  pdt::Metrics::reset();
+  if (!pdt::Metrics::enabled())
+    pdt::Metrics::enable();
   std::string Source = workloadSource(Nests);
   auto BaselineStart = std::chrono::steady_clock::now();
   AnalysisResult Baseline =
@@ -370,7 +348,6 @@ int main(int argc, char **argv) {
     std::ofstream Json(benchOutputPath("BENCH_store.json"));
     Json << "{\n"
          << benchMetaJson("x8_store") << ",\n"
-         << "  \"compiled_in\": true,\n"
          << "  \"smoke\": " << (Smoke ? "true" : "false") << ",\n"
          << "  \"workload\": {\"nests\": " << Nests << ", \"edges\": "
          << Cold["edges"] << "},\n"

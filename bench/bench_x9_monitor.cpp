@@ -226,19 +226,17 @@ int main(int argc, char **argv) {
   // equal rings * slots * event size, at or under the configured cap
   // per recording thread.
   FlightRecorder::Stats Flight = FlightRecorder::stats();
-  if (FlightRecorder::compiledIn()) {
-    if (Flight.Recorded == 0)
-      Fail("armed runs recorded no flight spans");
-    if (Flight.BytesInUse != uint64_t(Flight.Threads) *
-                                 Flight.SlotsPerThread * sizeof(TraceEvent))
-      Fail("flight bytes-in-use does not equal rings * slots * slot size");
-    if (Flight.BytesInUse > uint64_t(Flight.Threads) * FlightCapBytes)
-      Fail("flight memory " + std::to_string(Flight.BytesInUse) +
-           " exceeds the configured cap of " +
-           std::to_string(FlightCapBytes) + " bytes/thread");
-  }
+  if (Flight.Recorded == 0)
+    Fail("armed runs recorded no flight spans");
+  if (Flight.BytesInUse != uint64_t(Flight.Threads) *
+                               Flight.SlotsPerThread * sizeof(TraceEvent))
+    Fail("flight bytes-in-use does not equal rings * slots * slot size");
+  if (Flight.BytesInUse > uint64_t(Flight.Threads) * FlightCapBytes)
+    Fail("flight memory " + std::to_string(Flight.BytesInUse) +
+         " exceeds the configured cap of " +
+         std::to_string(FlightCapBytes) + " bytes/thread");
   uint64_t SamplerSamples = Sampler::summary().Samples;
-  if (FlightRecorder::compiledIn() && SamplerSamples == 0)
+  if (SamplerSamples == 0)
     Fail("armed runs took no telemetry samples");
 
   // Leg 3 (untimed): the injected-stall drill. A heartbeat with a
@@ -249,42 +247,40 @@ int main(int argc, char **argv) {
   uint64_t StallVerdicts = 0;
   bool StallJournaled = false, StallDumpOk = false;
   std::string StallDumpPath = benchOutputPath("BENCH_x9_stall_flight.json");
-  if (FlightRecorder::compiledIn()) {
-    std::remove(StallDumpPath.c_str());
-    Watchdog::stop();
-    Watchdog::setClockForTest(fakeClock);
-    FlightRecorder::start(FlightCapBytes, StallDumpPath);
-    EventLog::start("");
-    Watchdog::start(/*StallFactor=*/2.0, /*QuietMs=*/1000, /*PollMs=*/0);
-    {
-      Heartbeat Probe("x9.stall-probe", /*QuietMs=*/10);
-      { Span S("bench_x9_monitor::stall_drill", "monitor"); }
-      FakeMs.store(300);
-      StallVerdicts = Watchdog::pollOnceForTest();
-    }
-    for (const std::string &Line : EventLog::recentLines())
-      StallJournaled |= Line.find("watchdog-stall") != std::string::npos &&
-                        Line.find("x9.stall-probe") != std::string::npos;
-    if (std::optional<json::Value> Dump = json::parse(slurp(StallDumpPath)))
-      if (const json::Value *Header = Dump->find("flightRecorder"))
-        StallDumpOk = Header->stringAt("reason") == "watchdog-stall";
-    Watchdog::stop();
-    Watchdog::setClockForTest(nullptr);
-    EventLog::stop();
-    FlightRecorder::stop();
-
-    if (StallVerdicts != 1)
-      Fail("injected stall produced " + std::to_string(StallVerdicts) +
-           " verdicts (want exactly 1)");
-    if (!StallJournaled)
-      Fail("stall verdict did not land in the event journal");
-    if (!StallDumpOk)
-      Fail("stall did not produce a parseable postmortem flight dump");
+  std::remove(StallDumpPath.c_str());
+  Watchdog::stop();
+  Watchdog::setClockForTest(fakeClock);
+  FlightRecorder::start(FlightCapBytes, StallDumpPath);
+  EventLog::start("");
+  Watchdog::start(/*StallFactor=*/2.0, /*QuietMs=*/1000, /*PollMs=*/0);
+  {
+    Heartbeat Probe("x9.stall-probe", /*QuietMs=*/10);
+    { Span S("bench_x9_monitor::stall_drill", "monitor"); }
+    FakeMs.store(300);
+    StallVerdicts = Watchdog::pollOnceForTest();
   }
+  for (const std::string &Line : EventLog::recentLines())
+    StallJournaled |= Line.find("watchdog-stall") != std::string::npos &&
+                      Line.find("x9.stall-probe") != std::string::npos;
+  if (std::optional<json::Value> Dump = json::parse(slurp(StallDumpPath)))
+    if (const json::Value *Header = Dump->find("flightRecorder"))
+      StallDumpOk = Header->stringAt("reason") == "watchdog-stall";
+  Watchdog::stop();
+  Watchdog::setClockForTest(nullptr);
+  EventLog::stop();
+  FlightRecorder::stop();
+
+  if (StallVerdicts != 1)
+    Fail("injected stall produced " + std::to_string(StallVerdicts) +
+         " verdicts (want exactly 1)");
+  if (!StallJournaled)
+    Fail("stall verdict did not land in the event journal");
+  if (!StallDumpOk)
+    Fail("stall did not produce a parseable postmortem flight dump");
 
   // Only the full run has enough work to time the difference above
   // scheduler noise; the paper-facing contract is <= 5%.
-  if (!Smoke && FlightRecorder::compiledIn() && Overhead > 0.05)
+  if (!Smoke && Overhead > 0.05)
     Fail("armed overhead " + std::to_string(Overhead * 100) +
          "% exceeds the 5% contract");
 
@@ -319,8 +315,6 @@ int main(int argc, char **argv) {
        << "  \"edges_identical\": "
        << (Armed.EdgeReport == Disarmed.EdgeReport ? "true" : "false")
        << ",\n"
-       << "  \"tracing_compiled_in\": "
-       << (FlightRecorder::compiledIn() ? "true" : "false") << ",\n"
        << "  \"failures\": " << Failures << "\n"
        << "}\n";
 

@@ -17,14 +17,6 @@
 
 using namespace pdt;
 
-bool pdt::resultStoreCompiledIn() {
-#if PDT_PERSISTENT_STORE
-  return true;
-#else
-  return false;
-#endif
-}
-
 //===----------------------------------------------------------------------===//
 // Canonicalization
 //===----------------------------------------------------------------------===//
@@ -551,8 +543,6 @@ thread_local unsigned BypassDepth = 0;
 
 bool ResultStore::activate(const std::string &Dir,
                            const std::string &Generation) {
-  if (!resultStoreCompiledIn())
-    return false;
   std::unique_ptr<SegmentStore> Seg = SegmentStore::open(Dir, Generation);
   StoreRecoveryStats RS = Seg->recoveryStats();
   Metrics::count(Metric::StoreRecordsLoaded, RS.RecordsLoaded);
@@ -574,7 +564,7 @@ void ResultStore::deactivate() {
 }
 
 std::shared_ptr<ResultStore> ResultStore::active() {
-  if (!resultStoreCompiledIn() || BypassDepth != 0)
+  if (BypassDepth != 0)
     return nullptr;
   std::lock_guard<std::mutex> Lock(ActiveMutex);
   return activeSlot();

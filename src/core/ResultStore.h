@@ -57,10 +57,7 @@
 ///
 /// Enablement: programmatic (ResultStore::activate) or via the
 /// environment — PDT_STORE=1 with PDT_STORE_DIR naming the directory
-/// (default .pdt-store), picked up by the analyzer pipeline. The
-/// PDT_PERSISTENT_STORE build option compiles the whole layer out;
-/// activate() then reports failure and the analysis is byte-identical
-/// to a build that never had a store.
+/// (default .pdt-store), picked up by the analyzer pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,11 +77,6 @@
 #include <vector>
 
 namespace pdt {
-
-/// False when the build compiled the persistent store out
-/// (PDT_PERSISTENT_STORE=OFF); activate() then always fails and
-/// testDependence never probes a store.
-bool resultStoreCompiledIn();
 
 /// A canonicalized pair query: the content key plus the renaming /
 /// shift context needed to dehydrate results on insert and rehydrate
@@ -118,17 +110,16 @@ public:
   /// — the analyzer version + options fingerprint; records written
   /// under any other generation are invalidated wholesale — and makes
   /// it the process-wide store probed by testDependence. Replaces any
-  /// previously active store (flushing it first). Returns false (store
-  /// inactive) when compiled out. A store that cannot persist still
-  /// activates: it serves misses and degrades writes, per the
-  /// never-crash contract.
+  /// previously active store (flushing it first). A store that cannot
+  /// persist still activates: it serves misses and degrades writes, per
+  /// the never-crash contract.
   static bool activate(const std::string &Dir, const std::string &Generation);
 
   /// Flushes and closes the process-wide store.
   static void deactivate();
 
-  /// The process-wide store, or null when inactive, compiled out, or
-  /// bypassed on this thread (StoreBypassGuard).
+  /// The process-wide store, or null when inactive or bypassed on this
+  /// thread (StoreBypassGuard).
   static std::shared_ptr<ResultStore> active();
 
   /// Looks up a canonicalized pair. On a hit, rehydrates the result

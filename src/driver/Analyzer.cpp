@@ -62,8 +62,6 @@ void collectSymbols(const Stmt *S, std::set<std::string> &LoopIndices,
 /// reopens, which quarantines every segment of the other generation
 /// (full invalidation on version/options skew).
 void ensureEnvResultStore(const AnalyzerOptions &Options) {
-  if (!resultStoreCompiledIn())
-    return;
   std::optional<std::string> Mode =
       envChoice("PDT_STORE", {"1", "0", "on", "off"});
   if (!Mode || *Mode == "0" || *Mode == "off")

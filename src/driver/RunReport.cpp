@@ -195,8 +195,6 @@ std::string RunReport::render() {
   Out += "\"meta\": {\n";
   Out += "  \"tool\": \"" + json::escape(Tool) + "\",\n";
   Out += "  \"build\": " + buildInfoJson() + ",\n";
-  Out += std::string("  \"tracing_compiled_in\": ") +
-         (Trace::compiledIn() ? "true" : "false") + ",\n";
   Out += "  \"threads\": " +
          std::to_string(ThreadPool::defaultThreadCount()) + ",\n";
   Out += std::string("  \"timestamp\": \"") + Time + "\"\n},\n";
@@ -265,14 +263,12 @@ std::string RunReport::render() {
     MetricsJson.pop_back();
   Out += "\"metrics\": " + MetricsJson;
 
-  if (Trace::compiledIn()) {
-    Profile P = Profile::fromTrace(kindTagName);
-    if (P.NumEvents != 0) {
-      std::string ProfileJson = P.toJson();
-      while (!ProfileJson.empty() && ProfileJson.back() == '\n')
-        ProfileJson.pop_back();
-      Out += ",\n\"profile\": " + ProfileJson;
-    }
+  Profile P = Profile::fromTrace(kindTagName);
+  if (P.NumEvents != 0) {
+    std::string ProfileJson = P.toJson();
+    while (!ProfileJson.empty() && ProfileJson.back() == '\n')
+      ProfileJson.pop_back();
+    Out += ",\n\"profile\": " + ProfileJson;
   }
 
   if (WallNs != 0)
@@ -312,7 +308,7 @@ void RunReport::initFromEnvironment() {
   // relaxed stores) unless something else — PDT_METRICS — already
   // did. Tracing stays opt-in (PDT_TRACE / PDT_PROFILE); the profile
   // section appears whenever spans were recorded.
-  if (Metrics::compiledIn() && !Metrics::enabled())
+  if (!Metrics::enabled())
     Metrics::enable();
   std::atexit([] { writeReportNow(); });
   registerCrashFlush("PDT_REPORT", [] { writeReportNow(); });

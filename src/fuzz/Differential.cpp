@@ -241,8 +241,8 @@ void checkDynamicCoverage(const FuzzKernel &K, const FuzzCheckConfig &Config,
   // them — and require both graphs and their result-bearing TestStats
   // to match the store-bypassed baseline exactly. Scalar routing on
   // both passes so any difference implicates the store alone.
-  if (Config.RunStoreCrossCheck && resultStoreCompiledIn() &&
-      !FaultInjector::anyArmed() && ResultStore::active()) {
+  if (Config.RunStoreCrossCheck && !FaultInjector::anyArmed() &&
+      ResultStore::active()) {
     for (int Pass = 0; Pass != 2; ++Pass) {
       TestStats StoreStats;
       DependenceGraph StoreG = [&] {

@@ -112,8 +112,8 @@ struct FuzzCheckConfig {
   /// persistent result store is active, rebuild the dependence graph
   /// twice through the store (populating, then hitting) and require
   /// graphs and TestStats byte-identical to the store-bypassed fresh
-  /// build (skipped when the store is compiled out, inactive, or any
-  /// fault injector is armed).
+  /// build (skipped when the store is inactive or any fault injector
+  /// is armed).
   bool RunStoreCrossCheck = true;
   /// Deliberately planted harness-validation bugs: the fuzzer must
   /// catch its own sabotage (used by the self-tests and the shrinker

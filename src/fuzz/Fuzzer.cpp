@@ -145,8 +145,20 @@ FuzzCampaignReport pdt::runFuzzCampaign(const FuzzCampaignConfig &Config) {
       for (const FuzzDiscrepancy &D : V.Discrepancies)
         if (D.Kind == FuzzDiscrepancyKind::Abort)
           W.Aborts += 1;
-      if (W.Failures.size() < FailureCap)
-        W.Failures.emplace_back(std::move(K), std::move(V));
+      // Keep this worker's FailureCap lowest-index failures (a max-heap
+      // on Index): work stealing hands a worker kernels out of index
+      // order, so its first failures need not be its lowest ones.
+      auto ByIndex = [](const auto &A, const auto &B) {
+        return A.first.Index < B.first.Index;
+      };
+      if (W.Failures.size() == FailureCap) {
+        if (W.Failures.front().first.Index < K.Index)
+          return;
+        std::pop_heap(W.Failures.begin(), W.Failures.end(), ByIndex);
+        W.Failures.pop_back();
+      }
+      W.Failures.emplace_back(std::move(K), std::move(V));
+      std::push_heap(W.Failures.begin(), W.Failures.end(), ByIndex);
     }
   });
 

@@ -84,7 +84,7 @@ struct FuzzCampaignReport {
   /// Kernels that ran the interpreter coverage check.
   uint64_t DynamicChecks = 0;
   /// Kernels that ran the cached-vs-fresh store cross-check (zero
-  /// when the store is compiled out or no store was active).
+  /// when no store was active).
   uint64_t StoreCrossChecks = 0;
   /// Total discrepancies found (not capped by MaxFindings).
   uint64_t Discrepancies = 0;

@@ -7,8 +7,6 @@
 
 #include "support/BuildInfo.h"
 
-#include "support/Trace.h"
-
 // The build passes these through pdt_support's compile definitions;
 // standalone compilation gets honest fallbacks.
 #ifndef PDT_BUILD_TYPE
@@ -16,9 +14,6 @@
 #endif
 #ifndef PDT_OPT_BATCHING
 #define PDT_OPT_BATCHING 1
-#endif
-#ifndef PDT_OPT_STORE
-#define PDT_OPT_STORE 1
 #endif
 #ifndef PDT_OPT_SANITIZE
 #define PDT_OPT_SANITIZE 0
@@ -30,9 +25,7 @@ const BuildInfo &pdt::buildInfo() {
   static const BuildInfo Info = {
       AnalyzerVersion,
       sizeof(PDT_BUILD_TYPE) > 1 ? PDT_BUILD_TYPE : "unknown",
-      Trace::compiledIn(),
       PDT_OPT_BATCHING != 0,
-      PDT_OPT_STORE != 0,
       PDT_OPT_SANITIZE != 0,
   };
   return Info;
@@ -47,12 +40,8 @@ std::string pdt::buildInfoLine(const char *Tool) {
   Out += I.Version;
   Out += " (build ";
   Out += I.BuildType;
-  Out += "; tracing=";
-  Out += onOff(I.Tracing);
-  Out += " batching=";
+  Out += "; batching=";
   Out += onOff(I.Batching);
-  Out += " store=";
-  Out += onOff(I.PersistentStore);
   Out += " sanitize=";
   Out += onOff(I.Sanitize);
   Out += ')';
@@ -65,12 +54,8 @@ std::string pdt::buildInfoJson() {
   Out += I.Version;
   Out += "\", \"build_type\": \"";
   Out += I.BuildType;
-  Out += "\", \"tracing\": ";
-  Out += I.Tracing ? "true" : "false";
-  Out += ", \"batching\": ";
+  Out += "\", \"batching\": ";
   Out += I.Batching ? "true" : "false";
-  Out += ", \"store\": ";
-  Out += I.PersistentStore ? "true" : "false";
   Out += ", \"sanitize\": ";
   Out += I.Sanitize ? "true" : "false";
   Out += "}";

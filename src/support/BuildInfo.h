@@ -8,11 +8,11 @@
 /// \file
 /// The single source of truth for "what binary is this": the analyzer
 /// generation string, the CMake build type, and which compile-time
-/// options (PDT_TRACING / PDT_BATCHING / PDT_PERSISTENT_STORE /
-/// PDT_SANITIZE) were baked in. Every surface that stamps provenance —
-/// the CLI `--version` lines, the event-journal header, the
-/// time-series header, `BenchMeta`, the analyzer options fingerprint —
-/// renders from this one struct so they can never drift apart.
+/// options (PDT_BATCHING / PDT_SANITIZE) were baked in. Every surface
+/// that stamps provenance — the CLI `--version` lines, the
+/// event-journal header, the time-series header, `BenchMeta`, the
+/// analyzer options fingerprint — renders from this one struct so they
+/// can never drift apart.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,9 +32,7 @@ inline constexpr const char *AnalyzerVersion = "pdt-analyzer-v7";
 struct BuildInfo {
   const char *Version;         ///< AnalyzerVersion.
   const char *BuildType;       ///< CMAKE_BUILD_TYPE ("unknown" without CMake).
-  bool Tracing;                ///< PDT_TRACING compiled in.
   bool Batching;               ///< PDT_BATCHING compiled in.
-  bool PersistentStore;        ///< PDT_PERSISTENT_STORE compiled in.
   bool Sanitize;               ///< Built under a sanitizer preset.
 };
 
@@ -42,8 +40,7 @@ struct BuildInfo {
 const BuildInfo &buildInfo();
 
 /// One human-facing line for `--version`:
-///   "depcheck pdt-analyzer-v7 (build Release; tracing=on batching=on
-///    store=on sanitize=off)"
+///   "depcheck pdt-analyzer-v7 (build Release; batching=on sanitize=off)"
 std::string buildInfoLine(const char *Tool);
 
 /// The same facts as a JSON object (no trailing newline), embedded in

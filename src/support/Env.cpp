@@ -12,15 +12,27 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <set>
+#include <utility>
 
 using namespace pdt;
 
 namespace {
 
-/// One warning on stderr per bad value, tagged with the MalformedInput
+/// One warning on stderr per (variable, value) per process — several
+/// knobs are re-read on every analysis — tagged with the MalformedInput
 /// taxonomy kind so the message matches what the analysis pipeline
 /// would report for the same class of problem.
 void warnMalformed(const char *Name, const char *Value, const char *Reason) {
+  // Immortal: knobs may be read from static initializers and exit hooks.
+  static std::mutex *M = new std::mutex;
+  static auto *Warned = new std::set<std::pair<std::string, std::string>>;
+  {
+    std::lock_guard<std::mutex> Lock(*M);
+    if (!Warned->emplace(Name, Value).second)
+      return;
+  }
   std::fprintf(stderr, "pdt: warning: %s: %s=\"%s\" %s; using the default\n",
                failureKindName(FailureKind::MalformedInput), Name, Value,
                Reason);

@@ -9,8 +9,9 @@
 /// Strict parsing for the PDT_* environment knobs (PDT_THREADS,
 /// PDT_TRACE, PDT_METRICS, ...). A malformed or out-of-range value is
 /// never silently coerced into a default: the parser emits one warning
-/// per variable on stderr, classified with the Failure taxonomy's
-/// MalformedInput kind, and then falls back to the documented default.
+/// per variable and value on stderr, classified with the Failure
+/// taxonomy's MalformedInput kind, and then falls back to the
+/// documented default.
 /// Unset variables are silent — only garbage warns.
 ///
 //===----------------------------------------------------------------------===//

@@ -36,8 +36,6 @@ const char *pdt::eventSeverityName(EventSeverity Sev) {
   pdt_unreachable("covered switch");
 }
 
-#if PDT_TRACING
-
 namespace {
 
 constexpr size_t MaxRecentLines = 256;
@@ -244,8 +242,6 @@ void EventLog::setClockForTest(uint64_t (*NowMs)()) {
   S.ClockMs = NowMs;
 }
 
-#endif // PDT_TRACING
-
 void EventLog::initFromEnvironment() {
   static bool Done = false;
   if (Done)
@@ -254,17 +250,9 @@ void EventLog::initFromEnvironment() {
   std::optional<std::string> Path = envPath("PDT_EVENTS");
   if (!Path)
     return;
-  if (!compiledIn()) {
-    std::fprintf(stderr, "pdt: warning: PDT_EVENTS is set but the journal "
-                         "was compiled out (PDT_TRACING=OFF); no events "
-                         "will be written\n");
-    return;
-  }
-#if PDT_TRACING
   if (!EventLog::start(*Path))
     std::fprintf(stderr, "pdt: warning: cannot open PDT_EVENTS file %s\n",
                  Path->c_str());
-#endif
 }
 
 namespace {

@@ -50,12 +50,6 @@
 #include <utility>
 #include <vector>
 
-// Defined to 0 by the build when the PDT_TRACING CMake option is OFF;
-// the journal compiles out with the rest of the telemetry substrate.
-#ifndef PDT_TRACING
-#define PDT_TRACING 1
-#endif
-
 namespace pdt {
 
 enum class EventSeverity : unsigned { Info, Warn, Error };
@@ -64,8 +58,6 @@ const char *eventSeverityName(EventSeverity Sev);
 
 class EventLog {
 public:
-  static constexpr bool compiledIn() { return PDT_TRACING != 0; }
-
   /// Counts since start(): emitted lines by severity plus the events
   /// the rate limiter swallowed.
   struct Counts {
@@ -82,8 +74,6 @@ public:
       return N;
     }
   };
-
-#if PDT_TRACING
 
   /// True while events are being journaled.
   static bool enabled();
@@ -122,23 +112,6 @@ public:
   /// Arms from PDT_EVENTS=out.jsonl. Called once before main; exposed
   /// for tests.
   static void initFromEnvironment();
-
-#else
-
-  static bool enabled() { return false; }
-  static bool start(const std::string &) { return false; }
-  static void stop() {}
-  static void event(EventSeverity, const char *, const char *,
-                    const std::string & = "",
-                    std::initializer_list<std::pair<const char *, uint64_t>> =
-                        {}) {}
-  static Counts counts() { return {}; }
-  static std::vector<std::string> recentLines() { return {}; }
-  static void configureRateLimit(uint64_t, uint64_t) {}
-  static void setClockForTest(uint64_t (*)()) {}
-  static void initFromEnvironment();
-
-#endif // PDT_TRACING
 };
 
 } // namespace pdt

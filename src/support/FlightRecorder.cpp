@@ -85,8 +85,6 @@ bool parseSpecImpl(const std::string &Spec, bool &On, size_t &BytesPerThread,
 
 } // namespace
 
-#if PDT_TRACING
-
 namespace {
 
 /// One thread's ring. Single writer (the owning thread): store the
@@ -284,8 +282,6 @@ std::string FlightRecorder::dumpPath() {
   return S.DumpPath;
 }
 
-#endif // PDT_TRACING
-
 bool FlightRecorder::parseSpec(const std::string &Spec, bool &On,
                                size_t &BytesPerThread,
                                std::string &DumpPath) {
@@ -313,13 +309,6 @@ void FlightRecorder::initFromEnvironment() {
   }
   if (!On)
     return;
-  if (!compiledIn()) {
-    std::fprintf(stderr, "pdt: warning: PDT_FLIGHT is set but tracing was "
-                         "compiled out (PDT_TRACING=OFF); no flight "
-                         "recorder available\n");
-    return;
-  }
-#if PDT_TRACING
   FlightRecorder::start(Bytes, std::move(Path));
   // A crashing run is exactly when the black box matters: dump the
   // surviving window before the process dies.
@@ -327,7 +316,6 @@ void FlightRecorder::initFromEnvironment() {
     if (FlightRecorder::enabled())
       FlightRecorder::postmortem("crash");
   });
-#endif
 }
 
 namespace {

@@ -46,15 +46,11 @@
 
 namespace pdt {
 
-#if PDT_TRACING
-
 class FlightRecorder {
 public:
   /// Default per-thread ring size (bytes): a few thousand spans per
   /// thread, enough to reconstruct the last build around a stall.
   static constexpr size_t DefaultBytesPerThread = 256 * 1024;
-
-  static constexpr bool compiledIn() { return true; }
 
   /// True while rings are recording.
   static bool enabled();
@@ -112,42 +108,6 @@ public:
   /// before main; exposed for tests.
   static void initFromEnvironment();
 };
-
-#else
-
-/// Compiled out with the rest of the tracing substrate: every call
-/// folds to a constant; Span is NoopSpan so record() is never reached.
-class FlightRecorder {
-public:
-  static constexpr size_t DefaultBytesPerThread = 256 * 1024;
-  static constexpr bool compiledIn() { return false; }
-  static bool enabled() { return false; }
-  static bool start(size_t = DefaultBytesPerThread, std::string = "") {
-    return false;
-  }
-  static void stop() {}
-  static void record(const TraceEvent &) {}
-  static std::vector<TraceEvent> snapshot() { return {}; }
-  struct Stats {
-    uint64_t Recorded = 0;
-    uint64_t Overwritten = 0;
-    uint64_t BytesInUse = 0;
-    uint32_t Threads = 0;
-    uint32_t SlotsPerThread = 0;
-  };
-  static Stats stats() { return {}; }
-  static std::string toJson(const char * = "on-demand") { return {}; }
-  static bool dump(const std::string &, const char * = "on-demand") {
-    return false;
-  }
-  static bool postmortem(const char *) { return false; }
-  static std::string dumpPath() { return {}; }
-  static bool parseSpec(const std::string &Spec, bool &On,
-                        size_t &BytesPerThread, std::string &DumpPath);
-  static void initFromEnvironment();
-};
-
-#endif // PDT_TRACING
 
 } // namespace pdt
 

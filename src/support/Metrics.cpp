@@ -274,8 +274,6 @@ void Metrics::observeImpl(Histo H, uint64_t Ns) {
 }
 
 bool Metrics::enable(std::string Path) {
-  if (!compiledIn())
-    return false;
   reset();
   {
     MetricsCollector &C = metricsCollector();
@@ -474,12 +472,6 @@ void Metrics::initFromEnvironment() {
   std::optional<std::string> Path = envPath("PDT_METRICS");
   if (!Path)
     return;
-  if (!compiledIn()) {
-    std::fprintf(stderr, "pdt: warning: PDT_METRICS is set but metrics were "
-                         "compiled out (PDT_TRACING=OFF); no report will be "
-                         "written\n");
-    return;
-  }
   if (Metrics::enable(std::move(*Path))) {
     std::atexit([] { Metrics::stop(); });
     // Aborting runs skip atexit; flush on terminate/SIGABRT too.

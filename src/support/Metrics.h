@@ -21,10 +21,9 @@
 /// Metrics::writeTo (programmatic) or PDT_METRICS=out.json (at process
 /// exit), alongside the paper-facing TestStats counters.
 ///
-/// Overhead policy matches support/Trace.h: compiled out, every
-/// recording call folds to nothing (Metrics::enabled() is a constant
-/// false); compiled in but disabled, one relaxed load and a predicted
-/// branch; enabled, one or two relaxed stores into the thread shard.
+/// Overhead policy matches support/Trace.h: disabled, one relaxed
+/// load and a predicted branch; enabled, one or two relaxed stores
+/// into the thread shard.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -179,19 +178,11 @@ struct MetricsSnapshot {
 class Metrics {
 public:
   static bool enabled() {
-#if PDT_TRACING
     return EnabledFlag.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
   }
-
-  /// True when metric instrumentation was compiled in.
-  static constexpr bool compiledIn() { return PDT_TRACING != 0; }
 
   /// Starts recording; \p Path (may be empty) is where the process-
   /// exit hook and stop() write the JSON. Resets previous values.
-  /// Returns false when compiled out.
   static bool enable(std::string Path = "");
 
   /// Stops recording and writes the JSON to the enable() path (skipped
@@ -255,8 +246,6 @@ private:
   static std::atomic<bool> EnabledFlag;
 };
 
-#if PDT_TRACING
-
 /// RAII latency sampler: records the scope's duration into \p H when
 /// metrics are enabled at construction time.
 class LatencyTimer {
@@ -276,17 +265,6 @@ private:
   Histo H;
   int64_t StartNs = -1;
 };
-
-#else
-
-class LatencyTimer {
-public:
-  explicit LatencyTimer(Histo) {}
-  LatencyTimer(const LatencyTimer &) = delete;
-  LatencyTimer &operator=(const LatencyTimer &) = delete;
-};
-
-#endif // PDT_TRACING
 
 } // namespace pdt
 

@@ -244,12 +244,6 @@ void Profile::initFromEnvironment() {
   std::optional<std::string> Path = envPath("PDT_PROFILE");
   if (!Path)
     return;
-  if (!Trace::compiledIn()) {
-    std::fprintf(stderr, "pdt: warning: PDT_PROFILE is set but tracing was "
-                         "compiled out (PDT_TRACING=OFF); no profile will "
-                         "be written\n");
-    return;
-  }
   profileOutPath() = std::move(*Path);
   // PDT_TRACE may want its own arming (with its own output path); let
   // it win the race deliberately, then arm pathless if it did not.

@@ -25,11 +25,6 @@
 /// for telemetry that is itself bounded (flight rings, recent-event
 /// windows).
 ///
-/// Unlike the span machinery this header is live even when
-/// PDT_TRACING=OFF: response headers and access-log lines must name
-/// requests in every build; only the span/journal stamping compiles
-/// away with its consumers.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PDT_SUPPORT_REQUESTCONTEXT_H

@@ -25,8 +25,6 @@
 
 using namespace pdt;
 
-#if PDT_TRACING
-
 namespace {
 
 constexpr size_t MaxRecentSamples = 4096;
@@ -153,7 +151,7 @@ bool Sampler::start(uint64_t IntervalMs, const std::string &Path) {
     S.Samples = 0;
     S.Recent.clear();
     S.Epoch = std::chrono::steady_clock::now();
-    if (Metrics::compiledIn() && !Metrics::enabled())
+    if (!Metrics::enabled())
       Metrics::enable();
     S.Prev = Metrics::snapshot();
     if (!Path.empty()) {
@@ -240,8 +238,6 @@ std::vector<std::string> Sampler::recentLines() {
   return {S.Recent.begin(), S.Recent.end()};
 }
 
-#endif // PDT_TRACING
-
 void Sampler::initFromEnvironment() {
   static bool Done = false;
   if (Done)
@@ -251,13 +247,6 @@ void Sampler::initFromEnvironment() {
   std::optional<std::string> Path = envPath("PDT_SAMPLE");
   if (!Interval && !Path)
     return;
-  if (!compiledIn()) {
-    std::fprintf(stderr, "pdt: warning: PDT_SAMPLE_MS/PDT_SAMPLE is set but "
-                         "the sampler was compiled out (PDT_TRACING=OFF); "
-                         "no time series will be written\n");
-    return;
-  }
-#if PDT_TRACING
   uint64_t IntervalMs =
       Interval ? static_cast<uint64_t>(*Interval) : DefaultIntervalMs;
   if (!Sampler::start(IntervalMs, Path ? *Path : std::string()))
@@ -266,7 +255,6 @@ void Sampler::initFromEnvironment() {
   // Normal exits take the final sample and close the stream; crashes
   // keep every line already flushed.
   std::atexit([] { Sampler::stop(); });
-#endif
 }
 
 namespace {

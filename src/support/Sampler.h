@@ -38,24 +38,16 @@
 #include <string>
 #include <vector>
 
-// Defined to 0 by the build when the PDT_TRACING CMake option is OFF.
-#ifndef PDT_TRACING
-#define PDT_TRACING 1
-#endif
-
 namespace pdt {
 
 class Sampler {
 public:
-  static constexpr bool compiledIn() { return PDT_TRACING != 0; }
   static constexpr uint64_t DefaultIntervalMs = 250;
 
   struct Summary {
     uint64_t Samples = 0;
     uint64_t IntervalMs = 0;
   };
-
-#if PDT_TRACING
 
   static bool enabled();
 
@@ -87,24 +79,6 @@ public:
   /// Arms from PDT_SAMPLE_MS / PDT_SAMPLE. Called once before main;
   /// exposed for tests.
   static void initFromEnvironment();
-
-#else
-
-  static bool enabled() { return false; }
-  static bool start(uint64_t = DefaultIntervalMs, const std::string & = "") {
-    return false;
-  }
-  static void stop() {}
-  static void sampleOnceForTest() {}
-  static size_t registerSeries(std::string, std::function<uint64_t()>) {
-    return 0;
-  }
-  static void unregisterSeries(size_t) {}
-  static Summary summary() { return {}; }
-  static std::vector<std::string> recentLines() { return {}; }
-  static void initFromEnvironment();
-
-#endif // PDT_TRACING
 };
 
 } // namespace pdt

@@ -219,8 +219,6 @@ void Trace::record(const char *Name, const char *Category, int16_t Kind,
 }
 
 bool Trace::start(std::string Path) {
-  if (!compiledIn())
-    return false;
   clear();
   {
     Collector &C = collector();
@@ -364,12 +362,6 @@ void Trace::initFromEnvironment() {
   std::optional<std::string> Path = envPath("PDT_TRACE");
   if (!Path)
     return;
-  if (!compiledIn()) {
-    std::fprintf(stderr, "pdt: warning: PDT_TRACE is set but tracing was "
-                         "compiled out (PDT_TRACING=OFF); no trace will be "
-                         "written\n");
-    return;
-  }
   if (Trace::start(std::move(*Path))) {
     std::atexit([] { Trace::stop(); });
     // An aborting run skips atexit; the crash-flush registry covers

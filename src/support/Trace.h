@@ -16,11 +16,8 @@
 ///
 /// Overhead policy (see DESIGN.md "Observability architecture"):
 ///
-///   * compiled out (-DPDT_TRACING=OFF): Span is an empty no-op type
-///     — zero atomics, zero branches in the hot loops; the
-///     observability smoke test static_asserts the type is empty;
-///   * compiled in, disarmed (the default): one relaxed atomic load
-///     and a predictable not-taken branch per span;
+///   * disarmed (the default): one relaxed atomic load and a
+///     predictable not-taken branch per span;
 ///   * armed: two steady_clock reads and one uncontended thread-local
 ///     buffer append per span (< 5% on the x3 workload, enforced by
 ///     bench_x5_observability).
@@ -45,14 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
-
-// Defined to 0 by the build when the PDT_TRACING CMake option is OFF;
-// standalone compilation (no CMake) defaults to instrumented.
-#ifndef PDT_TRACING
-#define PDT_TRACING 1
-#endif
 
 namespace pdt {
 
@@ -101,12 +91,9 @@ public:
   /// recorder; start()/stop() manage the CaptureFull bit.
   static void setCaptureBit(CaptureBit Bit, bool On);
 
-  /// True when span instrumentation was compiled in (PDT_TRACING=ON).
-  static constexpr bool compiledIn() { return PDT_TRACING != 0; }
-
   /// Starts recording; \p Path (may be empty) is where stop() and the
   /// process-exit hook write the JSON. Clears previously buffered
-  /// events. No-op (returns false) when compiled out.
+  /// events.
   static bool start(std::string Path);
 
   /// Stops recording and writes the JSON to the path given to start()
@@ -155,31 +142,11 @@ public:
   static void initFromEnvironment();
 
 private:
-#if PDT_TRACING
-  // In the compiled-out build Span is an alias of NoopSpan, which a
-  // friend *class* declaration would conflict with.
   friend class Span;
-#endif
   static void record(const char *Name, const char *Category, int16_t Kind,
                      int64_t StartNs, int64_t EndNs);
   static std::atomic<unsigned> CaptureFlags;
 };
-
-/// The compiled-out span: constructing and destroying it is a no-op
-/// the optimizer deletes entirely. Kept defined in every build so the
-/// observability smoke test can static_assert its emptiness.
-class NoopSpan {
-public:
-  explicit NoopSpan(const char *, const char * = nullptr, int = -1) {}
-  NoopSpan(const NoopSpan &) = delete;
-  NoopSpan &operator=(const NoopSpan &) = delete;
-};
-static_assert(std::is_empty_v<NoopSpan>,
-              "the compiled-out span must stay an empty type: the "
-              "tracing off-path is required to add no state (and no "
-              "atomics) to the hot loops");
-
-#if PDT_TRACING
 
 /// RAII scope: records one complete event from construction to
 /// destruction when tracing is armed. \p Name and \p Category must be
@@ -211,12 +178,6 @@ private:
   int16_t Kind = TraceEvent::NoTag;
   int64_t StartNs = 0;
 };
-
-#else
-
-using Span = NoopSpan;
-
-#endif // PDT_TRACING
 
 } // namespace pdt
 

@@ -74,8 +74,6 @@ bool parseSpecImpl(const std::string &Spec, bool &On, double &Factor,
 
 } // namespace
 
-#if PDT_TRACING
-
 namespace pdt::detail {
 
 /// One stage's progress slot. The stage's threads store beats; the
@@ -264,8 +262,6 @@ void Watchdog::setClockForTest(uint64_t (*NowMs)()) {
   state().ClockMs.store(NowMs, std::memory_order_relaxed);
 }
 
-#endif // PDT_TRACING
-
 bool Watchdog::parseSpec(const std::string &Spec, bool &On, double &Factor,
                          uint64_t &QuietMs) {
   return parseSpecImpl(Spec, On, Factor, QuietMs);
@@ -292,17 +288,9 @@ void Watchdog::initFromEnvironment() {
   }
   if (!On)
     return;
-  if (!compiledIn()) {
-    std::fprintf(stderr, "pdt: warning: PDT_WATCHDOG is set but tracing was "
-                         "compiled out (PDT_TRACING=OFF); no watchdog "
-                         "available\n");
-    return;
-  }
-#if PDT_TRACING
   Watchdog::start(Factor, QuietMs);
   // The monitor thread must not outlive main's static teardown.
   std::atexit([] { Watchdog::stop(); });
-#endif
 }
 
 namespace {

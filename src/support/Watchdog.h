@@ -39,14 +39,7 @@
 #include <memory>
 #include <string>
 
-// Defined to 0 by the build when the PDT_TRACING CMake option is OFF.
-#ifndef PDT_TRACING
-#define PDT_TRACING 1
-#endif
-
 namespace pdt {
-
-#if PDT_TRACING
 
 namespace detail {
 struct HeartbeatSlot;
@@ -74,7 +67,6 @@ private:
 
 class Watchdog {
 public:
-  static constexpr bool compiledIn() { return true; }
   static constexpr double DefaultStallFactor = 4.0;
   static constexpr uint64_t DefaultQuietMs = 1000;
   static constexpr uint64_t DefaultPollMs = 100;
@@ -113,39 +105,6 @@ public:
   /// tests.
   static void initFromEnvironment();
 };
-
-#else
-
-/// Compiled out: beats vanish, the watchdog never arms.
-class Heartbeat {
-public:
-  explicit Heartbeat(const char *, uint64_t = 0) {}
-  Heartbeat(const Heartbeat &) = delete;
-  Heartbeat &operator=(const Heartbeat &) = delete;
-  void beat() {}
-};
-
-class Watchdog {
-public:
-  static constexpr bool compiledIn() { return false; }
-  static constexpr double DefaultStallFactor = 4.0;
-  static constexpr uint64_t DefaultQuietMs = 1000;
-  static constexpr uint64_t DefaultPollMs = 100;
-  static bool enabled() { return false; }
-  static bool start(double = DefaultStallFactor, uint64_t = DefaultQuietMs,
-                    uint64_t = DefaultPollMs) {
-    return false;
-  }
-  static void stop() {}
-  static uint64_t stallCount() { return 0; }
-  static unsigned pollOnceForTest() { return 0; }
-  static void setClockForTest(uint64_t (*)()) {}
-  static bool parseSpec(const std::string &Spec, bool &On, double &Factor,
-                        uint64_t &QuietMs);
-  static void initFromEnvironment();
-};
-
-#endif // PDT_TRACING
 
 } // namespace pdt
 

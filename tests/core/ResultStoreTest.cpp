@@ -5,8 +5,7 @@
 // byte-identical to cold runs (graphs and statistics), generation skew
 // from an analyzer-options change invalidates wholesale, degraded
 // results are never persisted, and a store killed mid-write at every
-// injected I/O site recovers to byte-identical verdicts. Every test
-// skips when the store is compiled out (PDT_PERSISTENT_STORE=OFF).
+// injected I/O site recovers to byte-identical verdicts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,12 +92,7 @@ do p = 7, 65
 end do
 )";
 
-#define SKIP_WITHOUT_STORE()                                                   \
-  if (!resultStoreCompiledIn())                                                \
-    GTEST_SKIP() << "PDT_PERSISTENT_STORE is compiled out"
-
 TEST(ResultStore, CanonicalizeUnifiesRenamedShiftedNests) {
-  SKIP_WITHOUT_STORE();
   LoopNestContext A = singleLoop("i", 2, 11);
   LoopNestContext B = singleLoop("k", 5, 14);
   // A(i) = A(i-1) over i in [2,11]  vs  A(k-3) = A(k-4) over k in [5,14]:
@@ -127,7 +121,6 @@ TEST(ResultStore, CanonicalizeUnifiesRenamedShiftedNests) {
 }
 
 TEST(ResultStore, RenamedShiftedProgramsHitEachOthersRecords) {
-  SKIP_WITHOUT_STORE();
   AnalysisResult Baseline = analyze(Kernel);
   AnalysisResult BaselineRenamed = analyze(RenamedShiftedKernel);
 
@@ -148,7 +141,6 @@ TEST(ResultStore, RenamedShiftedProgramsHitEachOthersRecords) {
 }
 
 TEST(ResultStore, WarmRunAcrossReopenIsByteIdentical) {
-  SKIP_WITHOUT_STORE();
   AnalysisResult Baseline = analyze(Kernel);
 
   TempDir Dir("warm");
@@ -171,7 +163,6 @@ TEST(ResultStore, WarmRunAcrossReopenIsByteIdentical) {
 }
 
 TEST(ResultStore, OptionsSkewInvalidatesWholesale) {
-  SKIP_WITHOUT_STORE();
   TempDir Dir("skew");
   {
     ActiveStore Store(Dir.str(), plainOptions());
@@ -200,7 +191,6 @@ TEST(ResultStore, OptionsSkewInvalidatesWholesale) {
 }
 
 TEST(ResultStore, BypassGuardHidesTheStoreOnThisThread) {
-  SKIP_WITHOUT_STORE();
   TempDir Dir("bypass");
   ActiveStore Store(Dir.str(), plainOptions());
   ASSERT_TRUE(ResultStore::active());
@@ -217,7 +207,6 @@ TEST(ResultStore, BypassGuardHidesTheStoreOnThisThread) {
 }
 
 TEST(ResultStore, DegradedResultsAreNeverPersisted) {
-  SKIP_WITHOUT_STORE();
   TempDir Dir("degraded");
   ActiveStore Store(Dir.str(), plainOptions());
   std::shared_ptr<ResultStore> Active = ResultStore::active();
@@ -244,7 +233,6 @@ TEST(ResultStore, DegradedResultsAreNeverPersisted) {
 }
 
 TEST(ResultStore, CorruptedSegmentsHealToIdenticalVerdicts) {
-  SKIP_WITHOUT_STORE();
   AnalysisResult Baseline = analyze(Kernel);
   TempDir Dir("corrupt");
   {
@@ -286,7 +274,6 @@ TEST(ResultStore, CorruptedSegmentsHealToIdenticalVerdicts) {
 // teardown (_exit), so nothing is flushed beyond what the injected
 // fault left behind.
 TEST(ResultStore, KillMidWriteRecoversIdenticalVerdictsAtEverySite) {
-  SKIP_WITHOUT_STORE();
   AnalysisResult Baseline = analyze(Kernel);
 
   constexpr IoFaultKind Kinds[] = {IoFaultKind::Open, IoFaultKind::Write,
@@ -328,7 +315,6 @@ TEST(ResultStore, KillMidWriteRecoversIdenticalVerdictsAtEverySite) {
 }
 
 TEST(ResultStore, BrokenStoreStillServesAndAnalysisSucceeds) {
-  SKIP_WITHOUT_STORE();
   AnalysisResult Baseline = analyze(Kernel);
   TempDir Dir("brokenserve");
   struct InjectorGuard {

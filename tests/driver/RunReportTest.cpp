@@ -161,8 +161,6 @@ TEST(RunReport, WorkloadKeysOverwriteAndRenderSorted) {
 }
 
 TEST(RunReport, StatsAreByteIdenticalAcrossThreadCounts) {
-  if (!Metrics::compiledIn())
-    GTEST_SKIP() << "metrics compiled out";
   std::string At1 = analyzedReport(1);
   std::string At4 = analyzedReport(4);
   std::string At8 = analyzedReport(8);
@@ -173,8 +171,6 @@ TEST(RunReport, StatsAreByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(RunReport, SelfDiffAcrossThreadCountsHasNoRegressions) {
-  if (!Metrics::compiledIn())
-    GTEST_SKIP() << "metrics compiled out";
   std::optional<json::Value> At1 = json::parse(analyzedReport(1));
   std::optional<json::Value> At4 = json::parse(analyzedReport(4));
   std::optional<json::Value> At8 = json::parse(analyzedReport(8));

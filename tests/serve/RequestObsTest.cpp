@@ -201,8 +201,6 @@ TEST(RequestObs, ErrorBodiesCarryTheRequestId) {
 }
 
 TEST(RequestObs, JournalEventsCarrySeqAndRequestId) {
-  if (!EventLog::compiledIn())
-    GTEST_SKIP() << "PDT_TRACING is OFF";
   ASSERT_TRUE(EventLog::start(""));
   Service S;
   S.handle(makeRequest("POST", "/v1/analyze", "{\"corpus\":\"daxpy\"}",
@@ -222,8 +220,6 @@ TEST(RequestObs, JournalEventsCarrySeqAndRequestId) {
 }
 
 TEST(RequestObs, SpansCarryTheRequestIdAcrossJobGraphWorkers) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "PDT_TRACING is OFF";
   ASSERT_TRUE(FlightRecorder::start());
   ServiceLimits L;
   L.JobThreads = 2; // parse/analyze jobs run on pool workers
@@ -309,16 +305,13 @@ TEST(RequestObs, AccessLogDisarmedIsANoOp) {
 //===----------------------------------------------------------------------===//
 
 TEST(RequestObs, MetriczParsesUnderThePrometheusGrammar) {
-  if (Metrics::compiledIn()) {
-    ASSERT_TRUE(Metrics::enable());
-    Metrics::observe(Histo::ServeRequestNs, 0);
-    Metrics::observe(Histo::ServeRequestNs, 5);
-    Metrics::observe(Histo::ServeRequestNs, 123456789);
-  }
+  ASSERT_TRUE(Metrics::enable());
+  Metrics::observe(Histo::ServeRequestNs, 0);
+  Metrics::observe(Histo::ServeRequestNs, 5);
+  Metrics::observe(Histo::ServeRequestNs, 123456789);
   Service S;
   HttpResponse R = S.handle(makeRequest("GET", "/v1/metricz"));
-  if (Metrics::compiledIn())
-    Metrics::stop();
+  Metrics::stop();
   ASSERT_EQ(R.Status, 200);
   ASSERT_NE(responseHeader(R, "Content-Type"), nullptr);
   EXPECT_EQ(responseHeader(R, "Content-Type")->rfind("text/plain", 0), 0u);
@@ -367,20 +360,18 @@ TEST(RequestObs, MetriczParsesUnderThePrometheusGrammar) {
   }
   EXPECT_GT(Samples, 0u);
 
-  if (Metrics::compiledIn()) {
-    // The documented le bounds are exact for bit_width bucketing: the
-    // three observations (0, 5, 123456789 ns) land at le=0, le=7, and
-    // +Inf-side cumulative counts.
-    EXPECT_NE(R.Body.find("pdt_latency_serve_request_ns_bucket{le=\"0\"} 1"),
-              std::string::npos)
-        << R.Body;
-    EXPECT_NE(R.Body.find("pdt_latency_serve_request_ns_bucket{le=\"7\"} 2"),
-              std::string::npos)
-        << R.Body;
-    EXPECT_NE(R.Body.find("pdt_latency_serve_request_ns_count 3"),
-              std::string::npos)
-        << R.Body;
-  }
+  // The documented le bounds are exact for bit_width bucketing: the
+  // three observations (0, 5, 123456789 ns) land at le=0, le=7, and
+  // +Inf-side cumulative counts.
+  EXPECT_NE(R.Body.find("pdt_latency_serve_request_ns_bucket{le=\"0\"} 1"),
+            std::string::npos)
+      << R.Body;
+  EXPECT_NE(R.Body.find("pdt_latency_serve_request_ns_bucket{le=\"7\"} 2"),
+            std::string::npos)
+      << R.Body;
+  EXPECT_NE(R.Body.find("pdt_latency_serve_request_ns_count 3"),
+            std::string::npos)
+      << R.Body;
 }
 
 //===----------------------------------------------------------------------===//
@@ -431,11 +422,6 @@ TEST(RequestObs, DebugRingIsBoundedAtCapacity) {
 
 TEST(RequestObs, DebugFlightIs404DisarmedAnd200Armed) {
   Service S;
-  HttpResponse Disarmed = S.handle(makeRequest("GET", "/v1/debug/flight"));
-  if (!FlightRecorder::compiledIn()) {
-    EXPECT_EQ(Disarmed.Status, 404);
-    return;
-  }
   FlightRecorder::stop();
   EXPECT_EQ(S.handle(makeRequest("GET", "/v1/debug/flight")).Status, 404);
 
@@ -456,8 +442,6 @@ TEST(RequestObs, DebugFlightIs404DisarmedAnd200Armed) {
 //===----------------------------------------------------------------------===//
 
 TEST(RequestObs, EndToEndDemoRequestJoinsEveryArtifact) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "PDT_TRACING is OFF";
   std::string Path = tempPath("access_e2e.jsonl");
   ASSERT_TRUE(AccessLog::start(Path));
   ASSERT_TRUE(EventLog::start(""));

@@ -85,8 +85,6 @@ TEST(CrashSafetyDeath, TerminateRunsRegisteredHooks) {
 }
 
 TEST(CrashSafetyDeath, AbortFlushesEnvArmedTrace) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   const char *Path = "crash_trace_dump.json";
   std::remove(Path);
@@ -105,8 +103,6 @@ TEST(CrashSafetyDeath, AbortFlushesEnvArmedTrace) {
 }
 
 TEST(CrashSafetyDeath, AbortFlushesEnvArmedMetrics) {
-  if (!Metrics::compiledIn())
-    GTEST_SKIP() << "metrics compiled out";
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   const char *Path = "crash_metrics_dump.json";
   std::remove(Path);

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 using namespace pdt;
@@ -143,6 +144,28 @@ TEST(Env, ChoiceIsCaseSensitiveAndExact) {
     ScopedEnv E(Var, " on");
     EXPECT_EQ(envChoice(Var, {"on", "off", "auto"}), std::nullopt);
   }
+}
+
+TEST(Env, WarnsOncePerVariableAndValue) {
+  // PDT_THREADS, PDT_BATCH and PDT_STORE are re-read on every analysis;
+  // a bad value must not warn on each read.
+  testing::internal::CaptureStderr();
+  {
+    ScopedEnv E(Var, "warn-once-probe");
+    EXPECT_EQ(envInt(Var, 1, 100), std::nullopt);
+    EXPECT_EQ(envInt(Var, 1, 100), std::nullopt);
+  }
+  std::string Once = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(std::count(Once.begin(), Once.end(), '\n'), 1) << Once;
+
+  testing::internal::CaptureStderr();
+  {
+    ScopedEnv E(Var, "warn-once-probe-2");
+    EXPECT_EQ(envInt(Var, 1, 100), std::nullopt);
+  }
+  std::string Other = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(std::count(Other.begin(), Other.end(), '\n'), 1)
+      << "a different bad value warns again: " << Other;
 }
 
 //===----------------------------------------------------------------------===//

@@ -33,16 +33,10 @@ uint64_t fakeClock() { return FakeMs.load(std::memory_order_relaxed); }
 
 class EventLogTest : public testing::Test {
 protected:
-  void SetUp() override {
-    if (!EventLog::compiledIn())
-      GTEST_SKIP() << "tracing compiled out";
-  }
   void TearDown() override {
-    if (EventLog::compiledIn()) {
-      EventLog::stop();
-      EventLog::setClockForTest(nullptr);
-      EventLog::configureRateLimit(32, 1000); // Built-in defaults.
-    }
+    EventLog::stop();
+    EventLog::setClockForTest(nullptr);
+    EventLog::configureRateLimit(32, 1000); // Built-in defaults.
   }
 };
 

@@ -53,10 +53,6 @@ constexpr size_t MinRingBytes = 64 * sizeof(TraceEvent);
 
 class FlightRecorderTest : public testing::Test {
 protected:
-  void SetUp() override {
-    if (!FlightRecorder::compiledIn())
-      GTEST_SKIP() << "tracing compiled out";
-  }
   void TearDown() override { FlightRecorder::stop(); }
 };
 

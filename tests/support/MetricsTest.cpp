@@ -118,8 +118,6 @@ TEST(Metrics, MergeSemanticsPerFieldClass) {
 }
 
 TEST(Metrics, SerialWorkloadIsDeterministic) {
-  if (!Metrics::compiledIn())
-    GTEST_SKIP() << "metrics compiled out";
   MetricsSnapshot First = runSerialWorkload();
   MetricsSnapshot Second = runSerialWorkload();
   EXPECT_EQ(eventCounters(First), eventCounters(Second));
@@ -131,8 +129,6 @@ TEST(Metrics, SerialWorkloadIsDeterministic) {
 }
 
 TEST(Metrics, CountDegradedMapsOntoPerKindCounters) {
-  if (!Metrics::compiledIn())
-    GTEST_SKIP() << "metrics compiled out";
   Metrics::enable("");
   const Metric Kinds[] = {Metric::DegradedOverflow, Metric::DegradedBudget,
                           Metric::DegradedSymbolic, Metric::DegradedInternal,

@@ -64,8 +64,6 @@ void expectCrashDump(const char *Path, const char *SpanName) {
 }
 
 TEST(MonitorDeath, AbortWritesFlightDumpAndJournalSurvives) {
-  if (!FlightRecorder::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   // Pid-unique paths: the threadsafe child re-executes this whole test
   // body, and its std::remove calls must not unlink the journal the
@@ -115,8 +113,6 @@ TEST(MonitorDeath, AbortWritesFlightDumpAndJournalSurvives) {
 }
 
 TEST(MonitorDeath, FlightDumpSurvivesAbortUnderFaultInjection) {
-  if (!FlightRecorder::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::string DumpName =
       "monitor_death_inject." + std::to_string(getpid()) + ".json";

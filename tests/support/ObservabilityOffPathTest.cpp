@@ -6,14 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The zero-cost contract for observability when it is not wanted:
-//
-//   * compiled out (-DPDT_TRACING=OFF), Span aliases NoopSpan, which
-//     must stay an empty type — no members, no atomics, nothing for
-//     the hot loops to carry (compile-time checks below run in every
-//     build, so the instrumented build also proves the off-path type
-//     never grows state);
-//   * compiled in but disarmed (the default production state), spans
-//     and metric recordings must observably do nothing.
+// disarmed (the default production state), spans and metric
+// recordings must observably do nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,27 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include <type_traits>
-
 using namespace pdt;
-
-// The compiled-out span adds no state. Checked in every build — an
-// instrumented build still compiles NoopSpan, so a member sneaking
-// into it fails CI everywhere, not only in the rarely-built OFF
-// configuration.
-static_assert(std::is_empty_v<NoopSpan>,
-              "NoopSpan must remain empty: the compiled-out tracing "
-              "path may not add state to instrumented scopes");
-static_assert(!std::is_copy_constructible_v<NoopSpan>,
-              "NoopSpan mirrors Span's non-copyability so code that "
-              "compiles against one compiles against the other");
-
-#if !PDT_TRACING
-// When tracing is compiled out, Span IS the empty type and the
-// enabled() queries fold to constants.
-static_assert(std::is_same_v<Span, NoopSpan>,
-              "compiled-out builds must alias Span to NoopSpan");
-#endif
 
 TEST(ObservabilityOffPath, DisarmedSpanRecordsNothing) {
   Trace::stop();
@@ -64,14 +38,5 @@ TEST(ObservabilityOffPath, DisarmedMetricsRecordNothing) {
   Metrics::countDegraded(0);
   { LatencyTimer T(Histo::PairTestNs); }
   EXPECT_EQ(Metrics::snapshot(), MetricsSnapshot());
-  EXPECT_FALSE(Metrics::enabled());
-}
-
-TEST(ObservabilityOffPath, CompiledOutNeverArms) {
-  if (Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled in; arming is allowed";
-  EXPECT_FALSE(Trace::start("unused.json"));
-  EXPECT_FALSE(Trace::enabled());
-  EXPECT_FALSE(Metrics::enable("unused.json"));
   EXPECT_FALSE(Metrics::enabled());
 }

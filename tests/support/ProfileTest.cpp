@@ -236,8 +236,6 @@ TEST(Profile, EmptyEventListYieldsEmptyProfile) {
 }
 
 TEST(Profile, FromTraceMatchesArmedSpans) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   Trace::start("");
   {
     Span Outer("ProfileTest::outer", "test");

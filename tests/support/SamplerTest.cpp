@@ -32,14 +32,7 @@ namespace {
 
 class SamplerTest : public testing::Test {
 protected:
-  void SetUp() override {
-    if (!Sampler::compiledIn())
-      GTEST_SKIP() << "tracing compiled out";
-  }
-  void TearDown() override {
-    if (Sampler::compiledIn())
-      Sampler::stop();
-  }
+  void TearDown() override { Sampler::stop(); }
 };
 
 /// The counter the tests pulse. FlightDumps is as good as any: what

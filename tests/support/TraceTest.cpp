@@ -233,8 +233,6 @@ void expectProperNesting(const std::vector<TraceEvent> &Events) {
 } // namespace
 
 TEST(Trace, DisarmedRecordsNothing) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   Trace::stop();
   Trace::clear();
   {
@@ -244,8 +242,6 @@ TEST(Trace, DisarmedRecordsNothing) {
 }
 
 TEST(Trace, EmitsValidJson) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   std::vector<TraceEvent> Events = traceWorkload(1);
   ASSERT_FALSE(Events.empty());
 
@@ -256,8 +252,6 @@ TEST(Trace, EmitsValidJson) {
 }
 
 TEST(Trace, WritesFileThatIsValidJson) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   AnalysisResult R = analyzeSource(Workload, "trace-file");
   ASSERT_TRUE(R.Parsed);
 
@@ -281,26 +275,18 @@ TEST(Trace, WritesFileThatIsValidJson) {
 }
 
 TEST(Trace, SpansNestAtOneWorker) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   expectProperNesting(traceWorkload(1));
 }
 
 TEST(Trace, SpansNestAtFourWorkers) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   expectProperNesting(traceWorkload(4));
 }
 
 TEST(Trace, SpansNestAtEightWorkers) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   expectProperNesting(traceWorkload(8));
 }
 
 TEST(Trace, CoversAllInstrumentedLayers) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   std::vector<TraceEvent> Events = traceWorkload(4);
 
   std::set<std::string> Categories;
@@ -323,8 +309,6 @@ TEST(Trace, CoversAllInstrumentedLayers) {
 }
 
 TEST(Trace, StartClearsPreviousEvents) {
-  if (!Trace::compiledIn())
-    GTEST_SKIP() << "tracing compiled out";
   Trace::start("");
   { Span S("first", "test"); }
   ASSERT_FALSE(Trace::snapshot().empty());

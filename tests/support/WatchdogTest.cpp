@@ -32,17 +32,13 @@ uint64_t fakeClock() { return FakeMs.load(std::memory_order_relaxed); }
 class WatchdogTest : public testing::Test {
 protected:
   void SetUp() override {
-    if (!Watchdog::compiledIn())
-      GTEST_SKIP() << "tracing compiled out";
     FakeMs.store(0);
     Watchdog::setClockForTest(fakeClock);
   }
   void TearDown() override {
-    if (Watchdog::compiledIn()) {
-      Watchdog::stop();
-      Watchdog::setClockForTest(nullptr);
-      EventLog::stop();
-    }
+    Watchdog::stop();
+    Watchdog::setClockForTest(nullptr);
+    EventLog::stop();
   }
 };
 
