@@ -50,17 +50,27 @@ private:
     const Expr *NewUpper = Upper;
     const Expr *NewStep = Step;
 
+    // A constant the renumbering needs that does not fit in int64
+    // leaves the loop as written: folding it would wrap, and a wrapped
+    // bound can make a nest look empty.
     if (StepC == 1) {
-      if (LowerC != 1) {
+      std::optional<int64_t> ShiftC =
+          LowerC ? checkedSub(*LowerC, 1) : std::nullopt;
+      std::optional<int64_t> UpperN;
+      if (LowerC && UpperC)
+        if (std::optional<int64_t> Extent = checkedSub(*UpperC, *LowerC))
+          UpperN = checkedAdd(*Extent, 1);
+      bool Fits = !LowerC || (ShiftC && (!UpperC || UpperN));
+      if (LowerC != 1 && Fits) {
         // Shift: i in [L, U] becomes i in [1, U-L+1], body uses
         // i + (L-1). Fold when the bounds are constant.
         NewLower = Ctx.getInt(1);
-        if (LowerC && UpperC)
-          NewUpper = Ctx.getInt(*UpperC - *LowerC + 1);
+        if (UpperN)
+          NewUpper = Ctx.getInt(*UpperN);
         else
           NewUpper = Ctx.getAdd(Ctx.getSub(Upper, Lower), Ctx.getInt(1));
-        const Expr *Shift = LowerC ? static_cast<const Expr *>(
-                                         Ctx.getInt(*LowerC - 1))
+        const Expr *Shift = ShiftC ? static_cast<const Expr *>(
+                                         Ctx.getInt(*ShiftC))
                                    : Ctx.getSub(Lower, Ctx.getInt(1));
         BodySubst[Index] = Ctx.getAdd(Ctx.getVar(Index), Shift);
       }
@@ -70,16 +80,23 @@ private:
       int64_t L0 = *LowerC;
       int64_t U0 = *UpperC;
       int64_t S0 = *StepC;
-      int64_t Count = 0;
-      if ((S0 > 0 && L0 <= U0) || (S0 < 0 && L0 >= U0))
-        Count = floorDiv(U0 - L0 + S0, S0);
-      NewLower = Ctx.getInt(1);
-      NewUpper = Ctx.getInt(Count);
-      NewStep = Ctx.getInt(1);
-      BodySubst[Index] = Ctx.getAdd(
-          Ctx.getInt(L0),
-          Ctx.getMul(Ctx.getSub(Ctx.getVar(Index), Ctx.getInt(1)),
-                     Ctx.getInt(S0)));
+      std::optional<int64_t> Count = 0;
+      if ((S0 > 0 && L0 <= U0) || (S0 < 0 && L0 >= U0)) {
+        std::optional<int64_t> Span = checkedSub(U0, L0);
+        std::optional<int64_t> Num = Span ? checkedAdd(*Span, S0) : Span;
+        Count = Num && !(*Num == INT64_MIN && S0 == -1)
+                    ? std::optional<int64_t>(floorDiv(*Num, S0))
+                    : std::nullopt;
+      }
+      if (Count) {
+        NewLower = Ctx.getInt(1);
+        NewUpper = Ctx.getInt(*Count);
+        NewStep = Ctx.getInt(1);
+        BodySubst[Index] = Ctx.getAdd(
+            Ctx.getInt(L0),
+            Ctx.getMul(Ctx.getSub(Ctx.getVar(Index), Ctx.getInt(1)),
+                       Ctx.getInt(S0)));
+      }
     }
     // Anything else (symbolic non-unit step, non-constant step) is
     // left as-is; the analyzer treats such loops conservatively.

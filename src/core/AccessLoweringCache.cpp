@@ -13,17 +13,21 @@
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
 using namespace pdt;
 
-/// One lock-striped bucket of the testDependence memo table.
+/// One lock-striped bucket of the testDependence memo table, keyed by
+/// the content hash; entries under one hash are told apart by
+/// comparing their content.
 struct AccessLoweringCache::MemoShard {
   std::mutex M;
-  std::unordered_map<std::string, MemoizedResult> Table;
+  std::unordered_multimap<size_t, MemoizedResult> Table;
 };
 
 AccessLoweringCache::~AccessLoweringCache() = default;
@@ -48,14 +52,15 @@ void AccessLoweringCache::lowerAccess(unsigned Access) {
   Span LowerSpan("AccessLoweringCache::lower", "cache");
   const ArrayAccess &Source = Accesses[Access];
   LoweredAccess &L = Lowered[Access];
+  std::set<std::string> OwnIndices;
   for (const DoLoop *Loop : Source.LoopStack)
-    L.OwnIndices.insert(Loop->getIndexName());
+    OwnIndices.insert(Loop->getIndexName());
 
   L.Dims.reserve(Source.Ref->getNumDims());
   for (unsigned Dim = 0; Dim != Source.Ref->getNumDims(); ++Dim) {
     std::optional<LinearExpr> Linear;
     try {
-      Linear = buildLinearExpr(Source.Ref->getSubscript(Dim), L.OwnIndices);
+      Linear = buildLinearExpr(Source.Ref->getSubscript(Dim), OwnIndices);
     } catch (const AnalysisError &) {
       // Coefficient overflow while lowering: the dimension is as
       // untestable as a nonlinear subscript — treat it as one.
@@ -65,102 +70,121 @@ void AccessLoweringCache::lowerAccess(unsigned Access) {
     // loop-invariant symbol; the subscript is effectively nonlinear.
     if (Linear && VaryingScalars)
       for (const auto &[Name, Coeff] : Linear->symbolTerms())
-        if (VaryingScalars->count(Name)) {
+        if (VaryingScalars->count(std::string(Name))) {
           Linear.reset();
           break;
         }
     L.Dims.push_back(std::move(Linear));
   }
 
-  L.OwnCtx = LoopNestContext(Source.LoopStack, Symbols);
+  L.OwnCtx = LoopNestContext::overSharedSymbols(Source.LoopStack, Symbols);
   L.Ready = true;
 }
 
 namespace {
 
+/// Depth of the common nest of \p A and \p B (their shared stack
+/// prefix), without materializing it.
+unsigned commonDepth(const ArrayAccess &A, const ArrayAccess &B) {
+  unsigned N = std::min(A.LoopStack.size(), B.LoopStack.size());
+  unsigned D = 0;
+  while (D != N && A.LoopStack[D] == B.LoopStack[D])
+    ++D;
+  return D;
+}
+
 /// Retags the cached affine form for one pair: index terms of the
-/// common nest stay indices, any other index becomes a fresh ranged
-/// symbol named after the side it belongs to. Mirrors the term order
-/// of the from-scratch path so the resulting LinearExpr is identical
-/// (LinearExpr is canonical, so the fast path below returning the
-/// cached form unchanged is the same value the rebuild produces).
-std::optional<LinearExpr>
-combineOverCommonNest(const LoweredAccess &L, unsigned Dim,
-                      const std::set<std::string> &CommonIndices,
-                      const char *Suffix, SymbolRangeMap &ExtraRanges,
-                      bool &AddedRanges) {
+/// common nest (the outermost \p CommonDepth levels of \p L's own
+/// nest) stay indices, any other index becomes a fresh ranged symbol
+/// named after the side it belongs to, its range added to \p Extra.
+/// LinearExpr is canonical, so the result is the value the
+/// from-scratch path builds.
+std::optional<LinearExpr> combineOverCommonNest(const LoweredAccess &L,
+                                                unsigned Dim,
+                                                unsigned CommonDepth,
+                                                const char *Suffix,
+                                                SymbolOverlay &Extra) {
   const std::optional<LinearExpr> &Linear = L.Dims[Dim];
   if (!Linear)
     return std::nullopt;
+  auto IsRenamed = [&L, CommonDepth](std::string_view Name) {
+    std::optional<unsigned> Level = L.OwnCtx.levelOf(Name);
+    return !Level || *Level >= CommonDepth;
+  };
 
-  // Fast path (the dominant same-nest case): every index is common,
-  // nothing to retag.
-  bool AllCommon = true;
-  for (const auto &[Name, Coeff] : Linear->indexTerms())
-    if (!CommonIndices.count(Name)) {
-      AllCommon = false;
-      break;
-    }
-  if (AllCommon)
-    return *Linear;
-
-  LinearExpr Result(Linear->getConstant());
-  for (const auto &[Name, Coeff] : Linear->symbolTerms())
-    Result = Result + LinearExpr::symbol(Name, Coeff);
+  bool AnyRenamed = false;
+  std::string Renamed;
   for (const auto &[Name, Coeff] : Linear->indexTerms()) {
-    if (CommonIndices.count(Name)) {
-      Result = Result + LinearExpr::index(Name, Coeff);
+    if (!IsRenamed(Name))
       continue;
-    }
-    std::string Renamed = Name + Suffix;
-    Result = Result + LinearExpr::symbol(Renamed, Coeff);
-    ExtraRanges[Renamed] = L.OwnCtx.indexRange(Name);
-    AddedRanges = true;
+    AnyRenamed = true;
+    Renamed.assign(Name);
+    Renamed += Suffix;
+    auto Pos = std::lower_bound(
+        Extra.begin(), Extra.end(), Renamed,
+        [](const auto &Entry, const std::string &N) { return Entry.first < N; });
+    if (Pos == Extra.end() || Pos->first != Renamed)
+      Extra.emplace(Pos, Renamed, L.OwnCtx.indexRange(Name));
   }
-  return Result;
+  // The dominant same-nest case: every index is common.
+  if (!AnyRenamed)
+    return *Linear;
+  return Linear->retagIndices(IsRenamed, Suffix);
+}
+
+/// Exact interval identity (unlike Interval::operator==, distinct
+/// empty intervals differ), so memo entries split exactly where the
+/// rendered ranges would.
+bool sameBounds(const Interval &A, const Interval &B) {
+  return A.lower() == B.lower() && A.upper() == B.upper();
+}
+
+bool sameLoop(const LoopBounds &A, const LoopBounds &B) {
+  if (A.Index != B.Index || A.Affine != B.Affine || A.Step != B.Step)
+    return false;
+  return !A.Affine || (A.Lower == B.Lower && A.Upper == B.Upper);
+}
+
+void mixHash(size_t &H, size_t V) {
+  H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
+}
+
+void mixBound(size_t &H, std::optional<int64_t> B) {
+  mixHash(H, B.has_value());
+  mixHash(H, static_cast<size_t>(B.value_or(0)));
 }
 
 } // namespace
 
-AccessLoweringCache::LoweredPair
-AccessLoweringCache::lowerPair(unsigned I, unsigned J,
-                               LoopNestContext &Storage) const {
+AccessLoweringCache::LoweredPair &AccessLoweringCache::scratchPair() {
+  thread_local LoweredPair Scratch;
+  return Scratch;
+}
+
+void AccessLoweringCache::lowerPair(unsigned I, unsigned J,
+                                    LoweredPair &Out) const {
   const ArrayAccess &A = Accesses[I];
   const ArrayAccess &B = Accesses[J];
   assert(A.Ref && B.Ref && "null access");
   assert(A.Ref->getArrayName() == B.Ref->getArrayName() &&
          "testing accesses to different arrays");
-  LoweredPair Out;
-  if (A.Ref->getNumDims() != B.Ref->getNumDims()) {
-    Out.DimMismatch = true;
-    return Out;
-  }
+  Out.Subscripts.clear();
+  Out.Extra.clear();
+  Out.Ctx = nullptr;
+  Out.HasNonlinear = false;
+  Out.DimMismatch = A.Ref->getNumDims() != B.Ref->getNumDims();
+  if (Out.DimMismatch)
+    return;
 
   const LoweredAccess &LA = Lowered[I];
   const LoweredAccess &LB = Lowered[J];
-  std::vector<const DoLoop *> Common = commonLoops(A, B);
+  unsigned Depth = commonDepth(A, B);
 
-  // The common nest is a stack prefix, so when it spans one side's
-  // whole stack that side's cached index set is the common set.
-  std::set<std::string> CommonStorage;
-  const std::set<std::string> *CommonIndices;
-  if (Common.size() == A.LoopStack.size())
-    CommonIndices = &LA.OwnIndices;
-  else if (Common.size() == B.LoopStack.size())
-    CommonIndices = &LB.OwnIndices;
-  else {
-    for (const DoLoop *Loop : Common)
-      CommonStorage.insert(Loop->getIndexName());
-    CommonIndices = &CommonStorage;
-  }
-
-  SymbolRangeMap ExtraRanges;
-  bool AddedRanges = false;
   for (unsigned Dim = 0; Dim != A.Ref->getNumDims(); ++Dim) {
-    std::optional<LinearExpr> Src = combineOverCommonNest(
-        LA, Dim, *CommonIndices, "#src", ExtraRanges, AddedRanges);
-    std::optional<LinearExpr> Dst = combineOverCommonNest(
-        LB, Dim, *CommonIndices, "#snk", ExtraRanges, AddedRanges);
+    std::optional<LinearExpr> Src =
+        combineOverCommonNest(LA, Dim, Depth, "#src", Out.Extra);
+    std::optional<LinearExpr> Dst =
+        combineOverCommonNest(LB, Dim, Depth, "#snk", Out.Extra);
     if (!Src || !Dst) {
       Out.HasNonlinear = true;
       continue; // Contributes no information.
@@ -168,27 +192,23 @@ AccessLoweringCache::lowerPair(unsigned I, unsigned J,
     Out.Subscripts.emplace_back(std::move(*Src), std::move(*Dst), Dim);
   }
 
-  // The pair context is LoopNestContext(Common, Symbols + ExtraRanges).
-  // When no index was renamed and the common nest is one side's whole
-  // stack, that is exactly the cached per-access context: borrow it.
-  if (!AddedRanges && Common.size() == A.LoopStack.size())
+  // The pair context is the common nest under the build's symbols plus
+  // the renamed ranges: one side's cached context outright when that is
+  // all it is, else a view of its common prefix.
+  if (Out.Extra.empty() && Depth == A.LoopStack.size())
     Out.Ctx = &LA.OwnCtx;
-  else if (!AddedRanges && Common.size() == B.LoopStack.size())
+  else if (Out.Extra.empty() && Depth == B.LoopStack.size())
     Out.Ctx = &LB.OwnCtx;
   else {
-    SymbolRangeMap AllSymbols = Symbols;
-    for (const auto &[Name, Range] : ExtraRanges)
-      AllSymbols.insert_or_assign(Name, Range);
-    Storage = LoopNestContext(Common, std::move(AllSymbols));
-    Out.Ctx = &Storage;
+    Out.View = LoopNestContext::prefixView(LA.OwnCtx, Depth, Out.Extra);
+    Out.Ctx = &Out.View;
   }
-  return Out;
 }
 
 std::optional<PreparedPair> AccessLoweringCache::preparePair(unsigned I,
                                                              unsigned J) const {
-  LoopNestContext Storage;
-  LoweredPair Pair = lowerPair(I, J, Storage);
+  LoweredPair Pair;
+  lowerPair(I, J, Pair);
   if (Pair.DimMismatch)
     return std::nullopt;
   PreparedPair Prepared;
@@ -197,8 +217,54 @@ std::optional<PreparedPair> AccessLoweringCache::preparePair(unsigned I,
   for (const SubscriptPartition &P : partitionSubscripts(Prepared.Subscripts))
     if (!P.isSeparable())
       Prepared.HasCoupledGroup = true;
+  // A copy is self-contained: the prepared pair may outlive the cache.
   Prepared.Ctx = *Pair.Ctx;
   return Prepared;
+}
+
+size_t AccessLoweringCache::hashContent(const LoweredPair &Pair) {
+  size_t H = 0;
+  for (const SubscriptPair &S : Pair.Subscripts) {
+    mixHash(H, S.Src.hash());
+    mixHash(H, S.Dst.hash());
+    mixHash(H, S.Dim);
+  }
+  for (const LoopBounds &L : Pair.Ctx->loops()) {
+    mixHash(H, std::hash<std::string>{}(L.Index));
+    mixHash(H, L.Affine);
+    if (L.Affine) {
+      mixHash(H, L.Lower.hash());
+      mixHash(H, L.Upper.hash());
+    }
+    mixHash(H, static_cast<size_t>(L.Step));
+  }
+  for (const auto &[Name, Range] : Pair.Ctx->overlay()) {
+    mixHash(H, std::hash<std::string>{}(Name));
+    mixBound(H, Range.lower());
+    mixBound(H, Range.upper());
+  }
+  return H;
+}
+
+bool AccessLoweringCache::sameContent(const MemoKey &Key,
+                                      const LoweredPair &Pair) {
+  if (Key.Subscripts.size() != Pair.Subscripts.size())
+    return false;
+  for (size_t I = 0; I != Key.Subscripts.size(); ++I) {
+    const SubscriptPair &A = Key.Subscripts[I], &B = Pair.Subscripts[I];
+    if (A.Dim != B.Dim || A.Src != B.Src || A.Dst != B.Dst)
+      return false;
+  }
+  std::span<const LoopBounds> Loops = Pair.Ctx->loops();
+  if (!std::equal(Key.Loops.begin(), Key.Loops.end(), Loops.begin(),
+                  Loops.end(), sameLoop))
+    return false;
+  const SymbolOverlay &Overlay = Pair.Ctx->overlay();
+  return std::equal(Key.Overlay.begin(), Key.Overlay.end(), Overlay.begin(),
+                    Overlay.end(), [](const auto &A, const auto &B) {
+                      return A.first == B.first &&
+                             sameBounds(A.second, B.second);
+                    });
 }
 
 DependenceTestResult
@@ -208,45 +274,14 @@ AccessLoweringCache::memoizedTestDependence(const LoweredPair &Pair,
   // stencil programs repeat the same subscript shapes across
   // statements and nests — so key the testDependence call on the full
   // lowered content and run the algorithm once per distinct form.
-  std::string Key;
-  Key.reserve(128);
-  for (const SubscriptPair &S : Pair.Subscripts) {
-    Key += S.Src.str();
-    Key += '=';
-    Key += S.Dst.str();
-    Key += '@';
-    Key += std::to_string(S.Dim);
-    Key += ';';
-  }
-  Key += '|';
-  for (const LoopBounds &L : Pair.Ctx->loops()) {
-    Key += L.Index;
-    Key += ':';
-    if (L.Affine) {
-      Key += L.Lower.str();
-      Key += ',';
-      Key += L.Upper.str();
-    } else {
-      Key += '?';
-    }
-    Key += ',';
-    Key += std::to_string(L.Step);
-    Key += ';';
-  }
-  Key += '|';
-  for (const auto &[Name, Range] : Pair.Ctx->symbolRanges()) {
-    Key += Name;
-    Key += '=';
-    Key += Range.str();
-    Key += ';';
-  }
-
-  MemoShard &Shard =
-      Memo[std::hash<std::string>{}(Key) % NumMemoShards];
+  size_t Hash = hashContent(Pair);
+  MemoShard &Shard = Memo[Hash % NumMemoShards];
   {
     std::lock_guard<std::mutex> Lock(Shard.M);
-    auto It = Shard.Table.find(Key);
-    if (It != Shard.Table.end()) {
+    auto [It, End] = Shard.Table.equal_range(Hash);
+    for (; It != End; ++It) {
+      if (!sameContent(It->second.Key, Pair))
+        continue;
       // Replay the cached statistics delta so merged counters equal an
       // uncached run exactly (TestStats merging is additive).
       Metrics::count(Metric::MemoHits);
@@ -278,9 +313,18 @@ AccessLoweringCache::memoizedTestDependence(const LoweredPair &Pair,
     // (which never touch the store) would overcount.
     Delta.StoreHits = 0;
     Delta.StoreMisses = 0;
+    std::span<const LoopBounds> Loops = Pair.Ctx->loops();
+    MemoKey Key{Pair.Subscripts, {Loops.begin(), Loops.end()},
+                Pair.Ctx->overlay()};
     std::lock_guard<std::mutex> Lock(Shard.M);
-    Shard.Table.try_emplace(std::move(Key),
-                            MemoizedResult{Result, std::move(Delta)});
+    // Another worker may have inserted the same content meanwhile;
+    // keep the first entry.
+    auto [It, End] = Shard.Table.equal_range(Hash);
+    for (; It != End; ++It)
+      if (sameContent(It->second.Key, Pair))
+        return Result;
+    Shard.Table.emplace(Hash, MemoizedResult{std::move(Key), Result,
+                                             std::move(Delta)});
   }
   return Result;
 }
@@ -300,8 +344,8 @@ DependenceTestResult AccessLoweringCache::testPair(unsigned I, unsigned J,
   // while retagging coefficients, injected faults); degrade to the
   // conservative all-directions edge for this pair only.
   try {
-    LoopNestContext Storage;
-    LoweredPair Pair = lowerPair(I, J, Storage);
+    LoweredPair &Pair = scratchPair();
+    lowerPair(I, J, Pair);
     // Mismatched dimensionality (legal Fortran through equivalence-style
     // tricks): treat conservatively.
     if (Pair.DimMismatch) {

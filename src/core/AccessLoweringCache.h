@@ -18,7 +18,7 @@
 ///
 /// preparePair then reduces to a cheap combination step: intersect the
 /// two loop stacks, retag non-common index terms as ranged symbols,
-/// and analyze the common nest. The result is bit-for-bit identical to
+/// and view the common prefix of one side's cached context. The result is bit-for-bit identical to
 /// what prepareAccessPair computes from scratch (the golden and
 /// determinism tests pin this down).
 ///
@@ -46,14 +46,11 @@ struct LoweredAccess {
   /// Affine form of each subscript dimension over the access's own
   /// loop indices; nullopt marks a nonlinear (untestable) dimension.
   std::vector<std::optional<LinearExpr>> Dims;
-  /// Analyzed context of the access's own loop stack, for the ranges
-  /// of renamed non-common indices. Reused outright as the pair
-  /// context when the common nest is this access's whole stack and no
-  /// index needed renaming.
+  /// Analyzed context of the access's own loop stack, over the cache's
+  /// symbol map. A pair's context is a view of its common prefix (plus
+  /// the ranges of renamed non-common indices), or this context itself
+  /// when the common nest is the whole stack and nothing was renamed.
   LoopNestContext OwnCtx;
-  /// The access's own loop index names (equals the common index set
-  /// whenever the common nest is the whole stack).
-  std::set<std::string> OwnIndices;
   /// lowerAccess completed for this entry (always true after an eager
   /// construction; deferred entries flip it as their lowering job
   /// runs).
@@ -75,6 +72,9 @@ public:
                       const std::set<std::string> *VaryingScalars,
                       bool DeferLowering = false);
   ~AccessLoweringCache();
+  /// The cached contexts point at this object's symbol map.
+  AccessLoweringCache(const AccessLoweringCache &) = delete;
+  AccessLoweringCache &operator=(const AccessLoweringCache &) = delete;
 
   /// Lowers one access (idempotent is NOT required: call exactly once
   /// per access, before any pair involving it is tested). Distinct
@@ -110,22 +110,44 @@ public:
                                 TestStats *Stats = nullptr) const;
 
 private:
-  /// View-based lowering of one pair: subscripts plus a pointer to
-  /// either a cached per-access context or \p Storage.
+  /// One pair lowered for testing: its subscripts and its context,
+  /// either a cached per-access context or View, a view of one over
+  /// Extra. The pair paths lower pair after pair into one per-thread
+  /// instance (scratchPair), so its buffers are reused and steady-state
+  /// lowering allocates nothing.
   struct LoweredPair {
+    LoweredPair() = default;
+    // View points at Extra.
+    LoweredPair(const LoweredPair &) = delete;
+    LoweredPair &operator=(const LoweredPair &) = delete;
+
     std::vector<SubscriptPair> Subscripts;
+    SymbolOverlay Extra;
+    LoopNestContext View;
     const LoopNestContext *Ctx = nullptr;
     bool HasNonlinear = false;
     /// References had different dimensionality; nothing was lowered.
     bool DimMismatch = false;
   };
-  LoweredPair lowerPair(unsigned I, unsigned J,
-                        LoopNestContext &Storage) const;
+  /// Lowers accesses \p I and \p J into \p Out, replacing its content.
+  void lowerPair(unsigned I, unsigned J, LoweredPair &Out) const;
+  /// The calling thread's reusable LoweredPair.
+  static LoweredPair &scratchPair();
 
   /// testDependence keyed by the pair's lowered content, with the
   /// cached statistics delta replayed into \p Stats on hits.
   DependenceTestResult memoizedTestDependence(const LoweredPair &Pair,
                                               TestStats *Stats) const;
+
+  /// The memo key: everything testDependence reads except the symbol
+  /// map, which is the same for every pair of one cache.
+  struct MemoKey {
+    std::vector<SubscriptPair> Subscripts;
+    std::vector<LoopBounds> Loops;
+    SymbolOverlay Overlay;
+  };
+  static size_t hashContent(const LoweredPair &Pair);
+  static bool sameContent(const MemoKey &Key, const LoweredPair &Pair);
 
   const std::vector<ArrayAccess> &Accesses;
   SymbolRangeMap Symbols;
@@ -141,6 +163,7 @@ private:
   /// (TestStats merging is additive). Sharded by key hash to keep
   /// worker contention low.
   struct MemoizedResult {
+    MemoKey Key;
     DependenceTestResult Result;
     TestStats Delta;
   };

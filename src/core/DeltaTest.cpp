@@ -95,15 +95,13 @@ struct RDIVRelation {
 /// untagged and q' is tagged (distinct bases guaranteed by shape).
 std::optional<RDIVRelation> matchRDIVRelation(const LinearExpr &Eq,
                                               unsigned Pos) {
-  const auto &Terms = Eq.indexTerms();
+  LinearExpr::TermRange Terms = Eq.indexTerms();
   if (Terms.size() != 2)
     return std::nullopt;
-  auto It = Terms.begin();
-  const auto &[VarA, CoeffA] = *It;
-  ++It;
-  const auto &[VarB, CoeffB] = *It;
+  const auto [VarA, CoeffA] = Terms[0];
+  const auto [VarB, CoeffB] = Terms[1];
   // Need exactly one source-tagged and one sink-tagged variable.
-  const std::string *Src = nullptr, *Snk = nullptr;
+  const std::string_view *Src = nullptr, *Snk = nullptr;
   int64_t CSrc = 0, CSnk = 0;
   if (!isSinkName(VarA) && isSinkName(VarB)) {
     Src = &VarA;

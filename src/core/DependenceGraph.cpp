@@ -104,14 +104,14 @@ std::vector<Dependence> emitEdges(const std::vector<ArrayAccess> &Accesses,
                                   unsigned I, unsigned J,
                                   const DependenceTestResult &R) {
   const ArrayAccess &A = Accesses[I];
-  const ArrayAccess &B = Accesses[J];
   bool SelfPair = I == J;
   std::vector<Dependence> Out;
 
   if (R.isIndependent())
     return Out;
 
-  std::vector<const DoLoop *> Common = commonLoops(A, B);
+  // The common nest is a prefix of both loop stacks, so a carried
+  // level indexes A's stack directly.
   for (const DependenceVector &V : R.Vectors) {
     for (const OrientedVector &O : orientVectors(V)) {
       Dependence D;
@@ -128,7 +128,7 @@ std::vector<Dependence> emitEdges(const std::vector<ArrayAccess> &Accesses,
         continue;
       D.Vector = O.Vector;
       D.CarriedLevel = O.CarriedLevel;
-      D.Carrier = O.CarriedLevel ? Common[*O.CarriedLevel] : nullptr;
+      D.Carrier = O.CarriedLevel ? A.LoopStack[*O.CarriedLevel] : nullptr;
       D.Exact = R.Exact;
       D.Degraded = R.Degraded;
       if (R.Degraded && R.Failure)

@@ -374,7 +374,8 @@ namespace {
 /// they may take any value independently on each side.
 std::optional<LinearExpr>
 affineOverCommonNest(const Expr *Subscript, const ArrayAccess &Access,
-                     const LoopNestContext &CommonCtx, const char *Suffix,
+                     const LoopNestContext &CommonCtx,
+                     const SymbolRangeMap &Symbols, const char *Suffix,
                      SymbolRangeMap &ExtraRanges,
                      const std::set<std::string> *VaryingScalars) {
   std::set<std::string> OwnIndices;
@@ -387,11 +388,11 @@ affineOverCommonNest(const Expr *Subscript, const ArrayAccess &Access,
   // symbol; the subscript is effectively nonlinear.
   if (VaryingScalars)
     for (const auto &[Name, Coeff] : Linear->symbolTerms())
-      if (VaryingScalars->count(Name))
+      if (VaryingScalars->count(std::string(Name)))
         return std::nullopt;
 
   // Ranges of the access's own loops (for the renamed symbols).
-  LoopNestContext OwnCtx(Access.LoopStack, CommonCtx.symbolRanges());
+  LoopNestContext OwnCtx(Access.LoopStack, Symbols);
 
   LinearExpr Result(Linear->getConstant());
   for (const auto &[Name, Coeff] : Linear->symbolTerms())
@@ -401,7 +402,7 @@ affineOverCommonNest(const Expr *Subscript, const ArrayAccess &Access,
       Result = Result + LinearExpr::index(Name, Coeff);
       continue;
     }
-    std::string Renamed = Name + Suffix;
+    std::string Renamed = std::string(Name) + Suffix;
     Result = Result + LinearExpr::symbol(Renamed, Coeff);
     ExtraRanges[Renamed] = OwnCtx.indexRange(Name);
   }
@@ -450,11 +451,11 @@ pdt::prepareAccessPair(const ArrayAccess &A, const ArrayAccess &B,
   PreparedPair Prepared;
   for (unsigned Dim = 0; Dim != A.Ref->getNumDims(); ++Dim) {
     std::optional<LinearExpr> Src =
-        affineOverCommonNest(A.Ref->getSubscript(Dim), A, PreCtx, "#src",
-                             AllSymbols, VaryingScalars);
+        affineOverCommonNest(A.Ref->getSubscript(Dim), A, PreCtx, Symbols,
+                             "#src", AllSymbols, VaryingScalars);
     std::optional<LinearExpr> Dst =
-        affineOverCommonNest(B.Ref->getSubscript(Dim), B, PreCtx, "#snk",
-                             AllSymbols, VaryingScalars);
+        affineOverCommonNest(B.Ref->getSubscript(Dim), B, PreCtx, Symbols,
+                             "#snk", AllSymbols, VaryingScalars);
     if (!Src || !Dst) {
       Prepared.HasNonlinear = true;
       continue; // Contributes no information.

@@ -120,10 +120,12 @@ Verdict fourierMotzkinTestImpl(const std::vector<SubscriptPair> &Subscripts,
   // Variable layout: source indices [0, d), sink indices [d, 2d),
   // then one variable per symbol encountered.
   unsigned Depth = Ctx.depth();
-  std::map<std::string, unsigned> SymbolVar;
-  auto SymbolIndex = [&SymbolVar, Depth](const std::string &Name) {
-    auto [It, Inserted] =
-        SymbolVar.try_emplace(Name, 2 * Depth + SymbolVar.size());
+  std::map<std::string, unsigned, std::less<>> SymbolVar;
+  auto SymbolIndex = [&SymbolVar, Depth](std::string_view Name) {
+    auto It = SymbolVar.find(Name);
+    if (It == SymbolVar.end())
+      It = SymbolVar.emplace(std::string(Name), 2 * Depth + SymbolVar.size())
+               .first;
     return It->second;
   };
 
@@ -191,10 +193,10 @@ Verdict fourierMotzkinTestImpl(const std::vector<SubscriptPair> &Subscripts,
 
   // Symbol range assumptions.
   for (const auto &[Name, Slot] : SymbolVar) {
-    auto It = Ctx.symbolRanges().find(Name);
-    if (It == Ctx.symbolRanges().end())
+    const Interval *Range = Ctx.symbolRange(Name);
+    if (!Range)
       continue;
-    const Interval &R = It->second;
+    const Interval &R = *Range;
     if (R.lower()) {
       std::vector<Rational> Coeffs(NumVars, Rational(0));
       Coeffs[Slot] = Rational(1);

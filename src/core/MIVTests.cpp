@@ -9,6 +9,7 @@
 
 #include "core/Subscript.h"
 #include "ir/LinearExpr.h"
+#include "support/Failure.h"
 #include "support/MathExtras.h"
 #include "support/Trace.h"
 
@@ -69,13 +70,17 @@ Interval directedTermBounds(int64_t A, int64_t B, const Interval &Range,
   if (Dir != DirLT && Dir != DirEQ && Dir != DirGT)
     return Range.scale(A) + Range.scale(B);
 
-  if (Dir == DirEQ)
-    return Range.scale(A + B);
+  if (Dir == DirEQ) {
+    std::optional<int64_t> Sum = checkedAdd(A, B);
+    if (!Sum)
+      raiseFailure(FailureKind::Overflow, "MIV coefficient overflow");
+    return Range.scale(*Sum);
+  }
 
   bool Less = Dir == DirLT;
   if (Range.isFinite()) {
     int64_t L = *Range.lower(), U = *Range.upper();
-    if (U - L < 1)
+    if (U <= L)
       return Interval::empty(); // Needs two distinct iterations.
     // Linear objective on the triangle {L <= x, y <= U, x <= y-1}
     // (resp. y <= x-1): extrema lie at the vertices.
@@ -94,7 +99,13 @@ Interval directedTermBounds(int64_t A, int64_t B, const Interval &Range,
     }
     int64_t Min = 0, Max = 0;
     for (unsigned I = 0; I != 3; ++I) {
-      int64_t V = A * Vertices[I].X + B * Vertices[I].Y;
+      std::optional<int64_t> AX = checkedMul(A, Vertices[I].X);
+      std::optional<int64_t> BY = checkedMul(B, Vertices[I].Y);
+      std::optional<int64_t> Sum =
+          AX && BY ? checkedAdd(*AX, *BY) : std::nullopt;
+      if (!Sum)
+        raiseFailure(FailureKind::Overflow, "MIV vertex bound overflow");
+      int64_t V = *Sum;
       if (I == 0) {
         Min = Max = V;
       } else {
@@ -143,9 +154,8 @@ Interval pdt::banerjeeBounds(const LinearExpr &Eq, const LoopNestContext &Ctx,
   assert(Dirs.size() == Ctx.depth() && "direction vector depth mismatch");
   Interval Total = Interval::point(Eq.getConstant());
   for (const auto &[Name, Coeff] : Eq.symbolTerms()) {
-    auto It = Ctx.symbolRanges().find(Name);
-    Interval R = It == Ctx.symbolRanges().end() ? Interval::full()
-                                                : It->second;
+    const Interval *Range = Ctx.symbolRange(Name);
+    Interval R = Range ? *Range : Interval::full();
     Total = Total + R.scale(Coeff);
   }
 

@@ -163,14 +163,15 @@ pdt::multidimensionalGCDTest(const std::vector<SubscriptPair> &Subscripts,
     Stats->noteApplication(TestKind::MultidimensionalGCD);
 
   // Variables: every tagged index name that appears in any equation.
-  std::map<std::string, unsigned> VarSlot;
+  std::map<std::string, unsigned, std::less<>> VarSlot;
   std::vector<LinearExpr> Eqs;
   for (const SubscriptPair &S : Subscripts) {
     LinearExpr Eq = S.equation();
     if (!Eq.symbolTerms().empty())
       continue; // Symbolic right-hand side: skip this equation.
     for (const auto &[Name, Coeff] : Eq.indexTerms())
-      VarSlot.try_emplace(Name, VarSlot.size());
+      if (VarSlot.find(Name) == VarSlot.end())
+        VarSlot.emplace(std::string(Name), VarSlot.size());
     Eqs.push_back(std::move(Eq));
   }
   if (Eqs.empty())
@@ -181,7 +182,7 @@ pdt::multidimensionalGCDTest(const std::vector<SubscriptPair> &Subscripts,
   for (const LinearExpr &Eq : Eqs) {
     std::vector<int64_t> Row(VarSlot.size(), 0);
     for (const auto &[Name, Coeff] : Eq.indexTerms())
-      Row[VarSlot[Name]] = Coeff;
+      Row[VarSlot.find(Name)->second] = Coeff;
     A.push_back(std::move(Row));
     B.push_back(-Eq.getConstant());
   }

@@ -27,7 +27,7 @@ evalAt(const LinearExpr &E, const std::map<std::string, int64_t> &Values) {
     return std::nullopt;
   int64_t V = E.getConstant();
   for (const auto &[Name, Coeff] : E.indexTerms()) {
-    auto It = Values.find(Name);
+    auto It = Values.find(std::string(Name));
     if (It == Values.end())
       return std::nullopt;
     std::optional<int64_t> Term = checkedMul(Coeff, It->second);

@@ -78,8 +78,8 @@ bool AccessLoweringCache::planBatchedPair(unsigned I, unsigned J,
   // overflow while retagging or differencing); the scalar path degrades
   // such pairs, so they must not be batched.
   try {
-    LoopNestContext Storage;
-    LoweredPair Pair = lowerPair(I, J, Storage);
+    LoweredPair &Pair = scratchPair();
+    lowerPair(I, J, Pair);
     if (Pair.DimMismatch || Pair.HasNonlinear)
       return false;
 
@@ -109,7 +109,7 @@ bool AccessLoweringCache::planBatchedPair(unsigned I, unsigned J,
       if (C == INT64_MIN)
         return Rollback();
 
-      const auto &IndexTerms = Eq.indexTerms();
+      LinearExpr::TermRange IndexTerms = Eq.indexTerms();
       if (IndexTerms.empty()) {
         // ZIV: independent iff C != 0, encoded for the shared kernel
         // as {a=1, Span=0}: C % 1 == 0 always, |C/1| > 0 iff C != 0.
@@ -123,18 +123,14 @@ bool AccessLoweringCache::planBatchedPair(unsigned I, unsigned J,
       }
       if (IndexTerms.size() != 2)
         return Rollback(); // Weak-zero SIV (1 term) or MIV.
-      auto It = IndexTerms.begin();
-      const std::string &VarA = It->first;
-      int64_t CoeffA = It->second;
-      ++It;
-      const std::string &VarB = It->first;
-      int64_t CoeffB = It->second;
+      const auto [VarA, CoeffA] = IndexTerms[0];
+      const auto [VarB, CoeffB] = IndexTerms[1];
       // Strong SIV is <a*i + c1, a*i' + c2>: the equation must pair an
       // untagged index with its own sink-tagged twin ("i" sorts before
       // "i'", so VarA is the untagged one), with exactly opposite
       // coefficients. -CoeffB at INT64_MIN would overflow; the scalar
       // dispatcher raises Overflow for it.
-      if (isSinkName(VarA) || VarB != sinkName(VarA))
+      if (isSinkName(VarA) || !isSinkName(VarB) || baseName(VarB) != VarA)
         return Rollback(); // RDIV or a mixed shape.
       if (CoeffB == INT64_MIN || CoeffA != -CoeffB)
         return Rollback(); // Weak/general SIV, or overflow risk.

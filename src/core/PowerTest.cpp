@@ -24,7 +24,7 @@ Verdict pdt::powerTest(const std::vector<SubscriptPair> &Subscripts,
   // index, whether or not a subscript mentions it (bounds of inner
   // loops may reference outer indices).
   unsigned Depth = Ctx.depth();
-  std::map<std::string, unsigned> VarSlot;
+  std::map<std::string, unsigned, std::less<>> VarSlot;
   for (unsigned L = 0; L != Depth; ++L) {
     const std::string &Name = Ctx.loop(L).Index;
     VarSlot.try_emplace(Name, VarSlot.size());
@@ -53,7 +53,7 @@ Verdict pdt::powerTest(const std::vector<SubscriptPair> &Subscripts,
   for (const LinearExpr &Eq : Eqs) {
     std::vector<int64_t> Row(NumVars, 0);
     for (const auto &[Name, Coeff] : Eq.indexTerms())
-      Row[VarSlot[Name]] = Coeff;
+      Row[VarSlot.find(Name)->second] = Coeff;
     A.push_back(std::move(Row));
     B.push_back(-Eq.getConstant());
   }
@@ -73,10 +73,10 @@ Verdict pdt::powerTest(const std::vector<SubscriptPair> &Subscripts,
   // coupling between levels and symbolic extents) to the lattice with
   // Fourier-Motzkin elimination over the parameters: the lattice
   // coordinates t, plus one variable per symbolic constant in bounds.
-  std::map<std::string, unsigned> SymbolParam;
+  std::map<std::string, unsigned, std::less<>> SymbolParam;
   unsigned NumParams = NumLattice; // Symbols appended on demand.
-  auto SymbolIndex = [&](const std::string &Name) {
-    auto [It, Inserted] = SymbolParam.try_emplace(Name, NumParams);
+  auto SymbolIndex = [&](std::string_view Name) {
+    auto [It, Inserted] = SymbolParam.try_emplace(std::string(Name), NumParams);
     if (Inserted)
       ++NumParams;
     return It->second;
@@ -114,7 +114,7 @@ Verdict pdt::powerTest(const std::vector<SubscriptPair> &Subscripts,
     // Subtract (Sense=+1) or add (Sense=-1) the bound expression.
     Const = Const + Rational(-Sense * Bound.getConstant());
     for (const auto &[Name, Coeff] : Bound.indexTerms()) {
-      std::string Outer = Snk ? sinkName(Name) : Name;
+      std::string Outer = Snk ? sinkName(Name) : std::string(Name);
       assert(VarSlot.count(Outer) && "bound uses unknown outer index");
       AddVar(Coeffs, Const, VarSlot[Outer], -Sense * Coeff);
     }
@@ -137,20 +137,20 @@ Verdict pdt::powerTest(const std::vector<SubscriptPair> &Subscripts,
 
   // Symbol range assumptions.
   for (const auto &[Name, Param] : SymbolParam) {
-    auto It = Ctx.symbolRanges().find(Name);
-    if (It == Ctx.symbolRanges().end())
+    const Interval *Range = Ctx.symbolRange(Name);
+    if (!Range)
       continue;
-    if (It->second.lower()) {
+    if (Range->lower()) {
       std::vector<Rational> Coeffs(NumParams, Rational(0));
       Coeffs[Param] = Rational(1);
       System.addInequality(std::move(Coeffs),
-                           Rational(-*It->second.lower()));
+                           Rational(-*Range->lower()));
     }
-    if (It->second.upper()) {
+    if (Range->upper()) {
       std::vector<Rational> Coeffs(NumParams, Rational(0));
       Coeffs[Param] = Rational(-1);
       System.addInequality(std::move(Coeffs),
-                           Rational(*It->second.upper()));
+                           Rational(*Range->upper()));
     }
   }
 

@@ -32,7 +32,7 @@ namespace {
 /// lookup side cannot have). Returns false on any unmappable name or
 /// overflow — the caller abandons the store for this pair/record.
 bool serializeExpr(const LinearExpr &E, int64_t ExtraConst, bool AssignSlots,
-                   const std::map<std::string, unsigned> &LevelOf,
+                   const std::map<std::string, unsigned, std::less<>> &LevelOf,
                    CanonicalPair &C, std::string &Out) {
   int64_t Const = E.getConstant();
   std::vector<std::pair<unsigned, int64_t>> Idx;
@@ -65,8 +65,8 @@ bool serializeExpr(const LinearExpr &E, int64_t ExtraConst, bool AssignSlots,
       Slot = It->second;
     } else if (AssignSlots) {
       Slot = static_cast<unsigned>(C.SlotSymbol.size());
-      C.SymbolSlot.emplace(Name, Slot);
-      C.SlotSymbol.push_back(Name);
+      C.SymbolSlot.emplace(std::string(Name), Slot);
+      C.SlotSymbol.emplace_back(Name);
     } else {
       return false;
     }
@@ -96,8 +96,8 @@ std::optional<CanonicalPair>
 ResultStore::canonicalize(const std::vector<SubscriptPair> &Subscripts,
                           const LoopNestContext &Ctx) {
   CanonicalPair C;
-  const std::vector<LoopBounds> &Loops = Ctx.loops();
-  std::map<std::string, unsigned> LevelOf;
+  std::span<const LoopBounds> Loops = Ctx.loops();
+  std::map<std::string, unsigned, std::less<>> LevelOf;
   C.LevelIndex.reserve(Loops.size());
   C.Shift.reserve(Loops.size());
   for (unsigned Level = 0; Level != Loops.size(); ++Level) {
@@ -147,10 +147,9 @@ ResultStore::canonicalize(const std::vector<SubscriptPair> &Subscripts,
   // Assumed ranges of exactly the symbols the content mentions, in
   // slot order. Unmentioned symbols cannot influence the result.
   Key += '|';
-  const SymbolRangeMap &Ranges = Ctx.symbolRanges();
   for (unsigned Slot = 0; Slot != C.SlotSymbol.size(); ++Slot) {
-    auto It = Ranges.find(C.SlotSymbol[Slot]);
-    Key += It != Ranges.end() ? It->second.str() : std::string("?");
+    const Interval *Range = Ctx.symbolRange(C.SlotSymbol[Slot]);
+    Key += Range ? Range->str() : std::string("?");
     Key += ';';
   }
   C.Key = std::move(Key);
@@ -275,7 +274,7 @@ bool parseStats(Cursor &C, TestStats &S) {
 
 /// A hint's symbolic crossing sum in canonical coordinates.
 bool serializeSumExpr(const LinearExpr &E, int64_t Shift,
-                      const std::map<std::string, unsigned> &LevelOf,
+                      const std::map<std::string, unsigned, std::less<>> &LevelOf,
                       CanonicalPair &C, std::string &Out) {
   // Crossing sum i + i" shifts by -2L when the level shifts by L.
   std::optional<int64_t> Twice = checkedMul(Shift, -2);
@@ -290,7 +289,7 @@ bool serializeSumExpr(const LinearExpr &E, int64_t Shift,
 std::optional<std::string> serializeValue(const CanonicalPair &C,
                                           const DependenceTestResult &R,
                                           const TestStats &Delta) {
-  std::map<std::string, unsigned> LevelOf;
+  std::map<std::string, unsigned, std::less<>> LevelOf;
   for (unsigned Level = 0; Level != C.LevelIndex.size(); ++Level)
     LevelOf.emplace(C.LevelIndex[Level], Level);
 

@@ -91,7 +91,7 @@ struct CanonicalPair {
   /// Symbol slot -> original symbol name.
   std::vector<std::string> SlotSymbol;
   /// Original symbol name -> slot.
-  std::map<std::string, unsigned> SymbolSlot;
+  std::map<std::string, unsigned, std::less<>> SymbolSlot;
 };
 
 /// The persistent result cache over one store directory. Thread-safe;

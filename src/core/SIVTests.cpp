@@ -30,7 +30,7 @@ static LinearExpr invariantPart(const LinearExpr &Eq) {
 }
 
 /// Value range of a (possibly sink-tagged) equation variable.
-static Interval varRange(const LoopNestContext &Ctx, const std::string &Var) {
+static Interval varRange(const LoopNestContext &Ctx, std::string_view Var) {
   return Ctx.indexRange(baseName(Var));
 }
 
@@ -41,14 +41,25 @@ static Interval evaluateEquation(const LoopNestContext &Ctx,
                                  const LinearExpr &Eq) {
   Interval Total = Interval::point(Eq.getConstant());
   for (const auto &[Name, Coeff] : Eq.symbolTerms()) {
-    auto It = Ctx.symbolRanges().find(Name);
-    Interval R =
-        It == Ctx.symbolRanges().end() ? Interval::full() : It->second;
+    const Interval *Range = Ctx.symbolRange(Name);
+    Interval R = Range ? *Range : Interval::full();
     Total = Total + R.scale(Coeff);
   }
   for (const auto &[Name, Coeff] : Eq.indexTerms())
     Total = Total + varRange(Ctx, Name).scale(Coeff);
   return Total;
+}
+
+/// S < 2 * B and S > 2 * B, exact even where 2 * B leaves int64: a
+/// doubled bound that overflows lies beyond every int64 S on the side
+/// of B's sign.
+static bool belowTwice(int64_t S, int64_t B) {
+  std::optional<int64_t> Twice = checkedMul(2, B);
+  return Twice ? S < *Twice : B > 0;
+}
+static bool aboveTwice(int64_t S, int64_t B) {
+  std::optional<int64_t> Twice = checkedMul(2, B);
+  return Twice ? S > *Twice : B < 0;
 }
 
 /// Can the (non-empty) interval contain a positive / zero / negative
@@ -273,7 +284,7 @@ namespace {
 
 /// Strong SIV test: equation a*i - a*i' + C = 0, i.e. the distance
 /// d = i' - i equals C / a. Exact (section 4.2.1).
-SIVResult testStrongSIV(const LinearExpr &Eq, const std::string &Index,
+SIVResult testStrongSIV(const LinearExpr &Eq, std::string_view Index,
                         int64_t A, const LoopNestContext &Ctx,
                         TestStats *Stats) {
   Span StrongSpan("SIVTests::testStrongSIV", "siv",
@@ -343,13 +354,13 @@ SIVResult testStrongSIV(const LinearExpr &Eq, const std::string &Index,
 /// occurrence v (source or sink); the dependence can involve only
 /// iteration i0 = -C/a of that side (section 4.2.2). Detects loop
 /// peeling candidates when i0 is the first or last iteration.
-SIVResult testWeakZeroSIV(const LinearExpr &Eq, const std::string &Var,
+SIVResult testWeakZeroSIV(const LinearExpr &Eq, std::string_view Var,
                           int64_t A, const LoopNestContext &Ctx,
                           TestStats *Stats) {
   Span WeakZeroSpan("SIVTests::testWeakZeroSIV", "siv",
                     testKindTag(TestKind::WeakZeroSIV));
   SIVResult R;
-  std::string Base = baseName(Var);
+  std::string Base(baseName(Var));
   R.Index = Base;
   bool SinkFixed = isSinkName(Var);
   LinearExpr C = invariantPart(Eq);
@@ -479,7 +490,7 @@ SIVResult testWeakZeroSIV(const LinearExpr &Eq, const std::string &Var,
 /// Weak-crossing SIV test: equation a*i + a*i' + C = 0, so
 /// i + i' = -C/a =: S and every dependence crosses iteration S/2
 /// (section 4.2.3). Detects loop splitting candidates.
-SIVResult testWeakCrossingSIV(const LinearExpr &Eq, const std::string &Index,
+SIVResult testWeakCrossingSIV(const LinearExpr &Eq, std::string_view Index,
                               int64_t A, const LoopNestContext &Ctx,
                               TestStats *Stats) {
   Span WeakCrossingSpan("SIVTests::testWeakCrossingSIV", "siv",
@@ -503,9 +514,9 @@ SIVResult testWeakCrossingSIV(const LinearExpr &Eq, const std::string &Index,
     int64_t S = -C.getConstant() / A;
     // Feasible iff S in [2L, 2U] (equivalently the crossing point S/2
     // lies within the loop bounds).
-    if (Range.lower() && S < 2 * *Range.lower())
+    if (Range.lower() && belowTwice(S, *Range.lower()))
       return SIVResult::independent(TestKind::WeakCrossingSIV);
-    if (Range.upper() && S > 2 * *Range.upper())
+    if (Range.upper() && aboveTwice(S, *Range.upper()))
       return SIVResult::independent(TestKind::WeakCrossingSIV);
     R.CrossingPoint = Rational(S, 2);
     R.IndexConstraint = Constraint::line(1, 1, S);
@@ -516,8 +527,8 @@ SIVResult testWeakCrossingSIV(const LinearExpr &Eq, const std::string &Index,
     // '<' and '>' need the crossing point strictly inside (L, U); '='
     // needs an integral crossing point within bounds.
     bool StrictlyInside =
-        (!Range.lower() || S > 2 * *Range.lower()) &&
-        (!Range.upper() || S < 2 * *Range.upper());
+        (!Range.lower() || aboveTwice(S, *Range.lower())) &&
+        (!Range.upper() || belowTwice(S, *Range.upper()));
     if (StrictlyInside)
       Dirs |= DirLT | DirGT;
     if (S % 2 == 0 && membershipVerdict(Range, S / 2) != Verdict::Independent)
@@ -553,7 +564,7 @@ SIVResult testWeakCrossingSIV(const LinearExpr &Eq, const std::string &Index,
 /// two-variable linear Diophantine equation intersected with the
 /// iteration box (the Banerjee/Cohagan/Wolfe "single-index exact
 /// test"; see also Figure 2's geometric view).
-SIVResult testExactSIV(const LinearExpr &Eq, const std::string &Index,
+SIVResult testExactSIV(const LinearExpr &Eq, std::string_view Index,
                        int64_t A1, int64_t B1, const LoopNestContext &Ctx,
                        TestStats *Stats) {
   Span ExactSpan("SIVTests::testExactSIV", "siv",
@@ -637,25 +648,23 @@ SIVResult testExactSIV(const LinearExpr &Eq, const std::string &Index,
 SIVResult pdt::testSIV(const LinearExpr &Eq, const LoopNestContext &Ctx,
                        TestStats *Stats) {
   Span SIVSpan("SIVTests::testSIV", "siv");
-  const auto &Terms = Eq.indexTerms();
+  LinearExpr::TermRange Terms = Eq.indexTerms();
   assert(!Terms.empty() && Terms.size() <= 2 &&
          "SIV test on a non-SIV equation");
 
   if (Terms.size() == 1) {
-    const auto &[Var, Coeff] = *Terms.begin();
+    const auto [Var, Coeff] = Terms[0];
     return testWeakZeroSIV(Eq, Var, Coeff, Ctx, Stats);
   }
 
-  auto It = Terms.begin();
-  const auto &[VarA, CoeffA] = *It;
-  ++It;
-  const auto &[VarB, CoeffB] = *It;
+  const auto [VarA, CoeffA] = Terms[0];
+  const auto [VarB, CoeffB] = Terms[1];
   assert(baseName(VarA) == baseName(VarB) &&
          "SIV test on an RDIV/MIV equation");
   // Equation CoeffA*i + CoeffB*i' + C = 0 in source form is
-  // a1 = CoeffA, a2 = -CoeffB (map order guarantees VarA = i,
+  // a1 = CoeffA, a2 = -CoeffB (name order guarantees VarA = i,
   // VarB = i').
-  const std::string &Index = baseName(VarA);
+  std::string_view Index = baseName(VarA);
   // -CoeffB below must not negate INT64_MIN (UB).
   if (CoeffB == INT64_MIN)
     raiseFailure(FailureKind::Overflow, "SIV coefficient overflow");
@@ -671,12 +680,10 @@ SIVResult pdt::testSIV(const LinearExpr &Eq, const LoopNestContext &Ctx,
 SIVResult pdt::testRDIV(const LinearExpr &Eq, const LoopNestContext &Ctx,
                         TestStats *Stats) {
   Span RDIVSpan("SIVTests::testRDIV", "siv", testKindTag(TestKind::RDIV));
-  const auto &Terms = Eq.indexTerms();
+  LinearExpr::TermRange Terms = Eq.indexTerms();
   assert(Terms.size() == 2 && "RDIV test needs exactly two variables");
-  auto It = Terms.begin();
-  const auto &[VarA, CoeffA] = *It;
-  ++It;
-  const auto &[VarB, CoeffB] = *It;
+  const auto [VarA, CoeffA] = Terms[0];
+  const auto [VarB, CoeffB] = Terms[1];
   assert(baseName(VarA) != baseName(VarB) &&
          "RDIV test on a single-index equation");
 

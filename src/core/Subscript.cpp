@@ -51,13 +51,8 @@ std::set<std::string> SubscriptPair::indices() const {
 }
 
 LinearExpr SubscriptPair::equation() const {
-  // Src(i) - Dst(i') with sink indices tagged.
-  LinearExpr TaggedDst(Dst.getConstant());
-  for (const auto &[Name, Coeff] : Dst.symbolTerms())
-    TaggedDst = TaggedDst + LinearExpr::symbol(Name, Coeff);
-  for (const auto &[Name, Coeff] : Dst.indexTerms())
-    TaggedDst = TaggedDst + LinearExpr::index(sinkName(Name), Coeff);
-  return Src - TaggedDst;
+  // Src(i) - Dst(i') with sink indices tagged, as one merge.
+  return LinearExpr::taggedDifference(Src, Dst, SinkTag);
 }
 
 SubscriptClass SubscriptPair::classify() const {
@@ -71,12 +66,27 @@ SubscriptShape SubscriptPair::shape() const {
 std::set<std::string> pdt::equationIndices(const LinearExpr &Eq) {
   std::set<std::string> Names;
   for (const auto &[Name, Coeff] : Eq.indexTerms())
-    Names.insert(baseName(Name));
+    Names.emplace(baseName(Name));
   return Names;
 }
 
+/// Number of distinct untagged indices in \p Eq, without building the
+/// name set.
+static size_t numEquationIndices(const LinearExpr &Eq) {
+  LinearExpr::TermRange Terms = Eq.indexTerms();
+  size_t N = 0;
+  for (size_t I = 0; I != Terms.size(); ++I) {
+    std::string_view Base = baseName(Terms[I].first);
+    bool Seen = false;
+    for (size_t J = 0; J != I && !Seen; ++J)
+      Seen = baseName(Terms[J].first) == Base;
+    N += !Seen;
+  }
+  return N;
+}
+
 SubscriptClass pdt::classifyEquation(const LinearExpr &Eq) {
-  size_t N = equationIndices(Eq).size();
+  size_t N = numEquationIndices(Eq);
   if (N == 0)
     return SubscriptClass::ZIV;
   if (N == 1)
@@ -85,7 +95,7 @@ SubscriptClass pdt::classifyEquation(const LinearExpr &Eq) {
 }
 
 SubscriptShape pdt::shapeOfEquation(const LinearExpr &Eq) {
-  const auto &Terms = Eq.indexTerms();
+  LinearExpr::TermRange Terms = Eq.indexTerms();
   switch (Terms.size()) {
   case 0:
     return SubscriptShape::ZIV;
@@ -94,15 +104,13 @@ SubscriptShape pdt::shapeOfEquation(const LinearExpr &Eq) {
     // coefficient is zero, which is exactly the weak-zero situation.
     return SubscriptShape::WeakZeroSIV;
   case 2: {
-    auto It = Terms.begin();
-    const auto &[NameA, CoeffA] = *It;
-    ++It;
-    const auto &[NameB, CoeffB] = *It;
+    const auto &[NameA, CoeffA] = Terms[0];
+    const auto &[NameB, CoeffB] = Terms[1];
     if (baseName(NameA) != baseName(NameB))
       return SubscriptShape::RDIV;
     // Same index on both sides: the equation is
-    // a1*i - a2*i' + c = 0, i.e. CoeffA = a1 and CoeffB = -a2 (the map
-    // is ordered, so NameA = i and NameB = i').
+    // a1*i - a2*i' + c = 0, i.e. CoeffA = a1 and CoeffB = -a2 (terms
+    // are ordered by name, so NameA = i and NameB = i').
     int64_t A1 = CoeffA;
     int64_t A2 = -CoeffB;
     if (A1 == A2)
@@ -112,7 +120,7 @@ SubscriptShape pdt::shapeOfEquation(const LinearExpr &Eq) {
     return SubscriptShape::GeneralSIV;
   }
   default: {
-    if (equationIndices(Eq).size() == 1) {
+    if (numEquationIndices(Eq) == 1) {
       // Cannot happen with <= 2 terms handled above: a single base
       // index yields at most the pair {i, i'}.
       return SubscriptShape::GeneralSIV;

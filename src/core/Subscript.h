@@ -23,6 +23,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 
 namespace pdt {
 
@@ -49,19 +50,26 @@ enum class SubscriptShape {
 
 const char *subscriptShapeName(SubscriptShape S);
 
+/// The tag appended to an index name for its sink-iteration instance.
+inline constexpr std::string_view SinkTag = "'";
+
 /// The name used for the sink-iteration instance of index \p Name in
 /// tagged dependence equations.
-inline std::string sinkName(const std::string &Name) { return Name + "'"; }
+inline std::string sinkName(std::string_view Name) {
+  std::string S(Name);
+  S += SinkTag;
+  return S;
+}
 
 /// True when \p Name is a sink-tagged index name.
-inline bool isSinkName(const std::string &Name) {
+inline bool isSinkName(std::string_view Name) {
   return !Name.empty() && Name.back() == '\'';
 }
 
 /// Strips the sink tag (identity for untagged names).
-inline std::string baseName(const std::string &Name) {
+inline std::string_view baseName(std::string_view Name) {
   if (isSinkName(Name))
-    return Name.substr(0, Name.size() - 1);
+    Name.remove_suffix(1);
   return Name;
 }
 

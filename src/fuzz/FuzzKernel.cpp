@@ -109,7 +109,7 @@ pdt::concretizeFuzzExpr(const LinearExpr &E,
                         const std::map<std::string, int64_t> &SymbolValues) {
   int64_t Constant = E.getConstant();
   for (const auto &[Name, Coeff] : E.symbolTerms()) {
-    auto It = SymbolValues.find(Name);
+    auto It = SymbolValues.find(std::string(Name));
     if (It == SymbolValues.end())
       return std::nullopt;
     std::optional<int64_t> Term = checkedMul(Coeff, It->second);
@@ -340,7 +340,7 @@ std::optional<FuzzKernel> pdt::parseFuzzKernelSource(const std::string &Source) 
       for (const LinearExpr &E : *Side)
         for (const auto &[Name, Coeff] : E.symbolTerms()) {
           (void)Coeff;
-          auto It = K.SymbolValues.find(Name);
+          auto It = K.SymbolValues.find(std::string(Name));
           if (It == K.SymbolValues.end())
             return std::nullopt;
           Used.insert(*It);

@@ -28,7 +28,8 @@ void pruneSymbols(FuzzKernel &K) {
       for (const LinearExpr &E : *Side)
         for (const auto &[Name, Coeff] : E.symbolTerms()) {
           (void)Coeff;
-          Used.insert({Name, K.SymbolValues.at(Name)});
+          std::string Symbol(Name);
+          Used.insert({Symbol, K.SymbolValues.at(Symbol)});
         }
   K.SymbolValues = std::move(Used);
 }

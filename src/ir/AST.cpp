@@ -67,7 +67,7 @@ std::optional<int64_t> pdt::evaluateConstantExpr(const Expr *E) {
         evaluateConstantExpr(cast<UnaryExpr>(E)->getOperand());
     if (!V)
       return std::nullopt;
-    return -*V;
+    return checkedSub(0, *V);
   }
   case Expr::Kind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
@@ -87,6 +87,8 @@ std::optional<int64_t> pdt::evaluateConstantExpr(const Expr *E) {
       // reference interpreter); only division by zero is undefined.
       if (*R == 0)
         return std::nullopt;
+      if (*R == -1)
+        return checkedSub(0, *L); // INT64_MIN / -1 overflows.
       return *L / *R;
     }
     pdt_unreachable("covered switch");

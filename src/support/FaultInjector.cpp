@@ -17,9 +17,10 @@ using namespace pdt;
 
 namespace {
 
-// Armed is the fast-path gate: a single relaxed load when the injector
-// is idle. Counter and Target only matter while armed; Kind is written
-// before Armed is released and read after it is acquired.
+// Armed says whether the arithmetic injector is armed; the inline
+// checkpoint() gate is FaultInjector::SlowPath. Counter and Target
+// only matter while armed; Kind is written before Armed is released
+// and read after it is acquired.
 std::atomic<bool> Armed{false};
 std::atomic<uint64_t> Counter{0};
 std::atomic<uint64_t> Target{0};
@@ -37,6 +38,7 @@ std::atomic<IoFaultKind> IoKind{IoFaultKind::Open};
 // (e.g. the batched-vs-scalar gate) already see an env-armed
 // injector.
 std::once_flag EnvOnce;
+std::atomic<bool> EnvRead{false};
 
 std::optional<FailureKind> parseKind(const std::string &Name) {
   if (Name == "overflow")
@@ -66,6 +68,17 @@ std::optional<IoFaultKind> parseIoKind(const std::string &Name) {
 
 } // namespace
 
+std::atomic<bool> FaultInjector::SlowPath{true};
+
+void FaultInjector::readEnvironmentOnce() {
+  std::call_once(EnvOnce, [] {
+    initFromEnvironment();
+    EnvRead.store(true, std::memory_order_relaxed);
+    SlowPath.store(Armed.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+  });
+}
+
 const char *pdt::ioFaultKindName(IoFaultKind K) {
   switch (K) {
   case IoFaultKind::Open:
@@ -85,6 +98,7 @@ void FaultInjector::arm(FailureKind K, uint64_t TargetSite) {
   Target.store(TargetSite, std::memory_order_relaxed);
   Counter.store(0, std::memory_order_relaxed);
   Armed.store(true, std::memory_order_release);
+  SlowPath.store(true, std::memory_order_relaxed);
 }
 
 bool FaultInjector::armFromSpec(const std::string &Spec) {
@@ -117,6 +131,10 @@ void FaultInjector::armIo(IoFaultKind K, uint64_t TargetSite) {
 
 void FaultInjector::disarm() {
   Armed.store(false, std::memory_order_release);
+  // Until the environment is read, the first checkpoint must still
+  // take the slow path to read it.
+  SlowPath.store(!EnvRead.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
   Counter.store(0, std::memory_order_relaxed);
   IoArmed.store(false, std::memory_order_release);
   IoCounter.store(0, std::memory_order_relaxed);
@@ -131,12 +149,12 @@ uint64_t FaultInjector::ioSiteCount() {
 }
 
 bool FaultInjector::armed() {
-  std::call_once(EnvOnce, initFromEnvironment);
+  readEnvironmentOnce();
   return Armed.load(std::memory_order_relaxed);
 }
 
 bool FaultInjector::ioArmed() {
-  std::call_once(EnvOnce, initFromEnvironment);
+  readEnvironmentOnce();
   return IoArmed.load(std::memory_order_relaxed);
 }
 
@@ -145,9 +163,8 @@ void FaultInjector::initFromEnvironment() {
     armFromSpec(Env);
 }
 
-void FaultInjector::checkpoint() {
-  // One-time environment pickup, then the idle fast path.
-  std::call_once(EnvOnce, initFromEnvironment);
+void FaultInjector::checkpointSlow() {
+  readEnvironmentOnce();
   if (!Armed.load(std::memory_order_acquire))
     return;
   uint64_t Site = Counter.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -165,7 +182,7 @@ void FaultInjector::checkpoint() {
 }
 
 bool FaultInjector::ioCheckpoint(IoFaultKind K) {
-  std::call_once(EnvOnce, initFromEnvironment);
+  readEnvironmentOnce();
   if (!IoArmed.load(std::memory_order_acquire))
     return false;
   if (IoKind.load(std::memory_order_relaxed) != K)

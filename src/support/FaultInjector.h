@@ -24,9 +24,9 @@
 ///
 /// with kinds overflow, budget, symbolic, internal, malformed. A
 /// target of 0 counts sites without tripping (count mode), which a
-/// sweep harness uses to discover the number of sites first. When the
-/// injector has never been armed, checkpoint() is a single relaxed
-/// atomic load.
+/// sweep harness uses to discover the number of sites first. While the
+/// injector is disarmed, checkpoint() is a single inline relaxed atomic
+/// load (after the first call has read the environment).
 ///
 /// The persistent result store (support/Store.h) adds a parallel
 /// family of *I/O* fault kinds with the same grammar:
@@ -47,6 +47,7 @@
 
 #include "support/Failure.h"
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -114,14 +115,23 @@ public:
   static void initFromEnvironment();
 
   /// One instrumented arithmetic site. Raises the armed failure when
-  /// this is the target site.
-  static void checkpoint();
+  /// this is the target site. Idle, it is one inline relaxed load.
+  static void checkpoint() {
+    if (SlowPath.load(std::memory_order_relaxed))
+      checkpointSlow();
+  }
 
   /// One instrumented I/O site of kind \p K. Returns true when the
   /// I/O injector is armed for \p K and this is the target site — the
   /// caller must then behave as if the operation failed. Sites of
   /// other kinds neither count nor trip.
   static bool ioCheckpoint(IoFaultKind K);
+
+private:
+  /// True until PDT_FAULT_INJECT has been read, and while armed.
+  static std::atomic<bool> SlowPath;
+  static void checkpointSlow();
+  static void readEnvironmentOnce();
 };
 
 } // namespace pdt

@@ -81,26 +81,6 @@ int64_t pdt::ceilDiv(int64_t A, int64_t B) {
 
 bool pdt::dividesExactly(int64_t A, int64_t B) {
   assert(B != 0 && "division by zero");
-  return A % B == 0;
+  return B == -1 || A % B == 0; // INT64_MIN % -1 overflows.
 }
 
-std::optional<int64_t> pdt::checkedAdd(int64_t A, int64_t B) {
-  int64_t Result;
-  if (__builtin_add_overflow(A, B, &Result))
-    return std::nullopt;
-  return Result;
-}
-
-std::optional<int64_t> pdt::checkedSub(int64_t A, int64_t B) {
-  int64_t Result;
-  if (__builtin_sub_overflow(A, B, &Result))
-    return std::nullopt;
-  return Result;
-}
-
-std::optional<int64_t> pdt::checkedMul(int64_t A, int64_t B) {
-  int64_t Result;
-  if (__builtin_mul_overflow(A, B, &Result))
-    return std::nullopt;
-  return Result;
-}

@@ -52,13 +52,28 @@ int64_t ceilDiv(int64_t A, int64_t B);
 bool dividesExactly(int64_t A, int64_t B);
 
 /// A + B, or std::nullopt on signed overflow.
-std::optional<int64_t> checkedAdd(int64_t A, int64_t B);
+inline std::optional<int64_t> checkedAdd(int64_t A, int64_t B) {
+  int64_t Result;
+  if (__builtin_add_overflow(A, B, &Result))
+    return std::nullopt;
+  return Result;
+}
 
 /// A - B, or std::nullopt on signed overflow.
-std::optional<int64_t> checkedSub(int64_t A, int64_t B);
+inline std::optional<int64_t> checkedSub(int64_t A, int64_t B) {
+  int64_t Result;
+  if (__builtin_sub_overflow(A, B, &Result))
+    return std::nullopt;
+  return Result;
+}
 
 /// A * B, or std::nullopt on signed overflow.
-std::optional<int64_t> checkedMul(int64_t A, int64_t B);
+inline std::optional<int64_t> checkedMul(int64_t A, int64_t B) {
+  int64_t Result;
+  if (__builtin_mul_overflow(A, B, &Result))
+    return std::nullopt;
+  return Result;
+}
 
 /// Sign of A as -1, 0, or +1.
 inline int signOf(int64_t A) { return A < 0 ? -1 : (A > 0 ? 1 : 0); }

@@ -9,21 +9,27 @@
 
 #include "ir/PrettyPrinter.h"
 
+#include <unordered_map>
+
 using namespace pdt;
 
 std::vector<LoopParallelism>
 pdt::findParallelLoops(const DependenceGraph &G) {
   std::vector<LoopParallelism> Report;
+  std::unordered_map<const DoLoop *, size_t> Slot;
   for (const DoLoop *L : G.allLoops()) {
-    LoopParallelism P;
-    P.Loop = L;
-    const std::vector<Dependence> &Deps = G.dependences();
-    for (unsigned I = 0, E = Deps.size(); I != E; ++I)
-      if (Deps[I].Carrier == L)
-        P.SerializingDeps.push_back(I);
-    P.Parallel = P.SerializingDeps.empty();
-    Report.push_back(std::move(P));
+    Slot.emplace(L, Report.size());
+    Report.push_back({L, false, {}});
   }
+  // One pass over the edges, bucketing each by its carrier; the
+  // buckets fill in ascending edge order.
+  const std::vector<Dependence> &Deps = G.dependences();
+  for (unsigned I = 0, E = Deps.size(); I != E; ++I)
+    if (Deps[I].Carrier)
+      if (auto It = Slot.find(Deps[I].Carrier); It != Slot.end())
+        Report[It->second].SerializingDeps.push_back(I);
+  for (LoopParallelism &P : Report)
+    P.Parallel = P.SerializingDeps.empty();
   return Report;
 }
 

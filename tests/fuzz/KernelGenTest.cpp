@@ -104,7 +104,7 @@ TEST(KernelGenTest, GeneratedKernelsAreWellFormed) {
         for (const LinearExpr &E : *Side)
           for (const auto &[Name, Coeff] : E.symbolTerms()) {
             (void)Coeff;
-            EXPECT_TRUE(K.SymbolValues.count(Name)) << Index;
+            EXPECT_TRUE(K.SymbolValues.count(std::string(Name))) << Index;
           }
   }
 }

@@ -40,7 +40,7 @@ void expectWellFormed(const FuzzKernel &K) {
       for (const LinearExpr &E : *Side)
         for (const auto &[Name, Coeff] : E.symbolTerms()) {
           (void)Coeff;
-          auto It = K.SymbolValues.find(Name);
+          auto It = K.SymbolValues.find(std::string(Name));
           ASSERT_NE(It, K.SymbolValues.end());
           Used.insert(*It);
         }

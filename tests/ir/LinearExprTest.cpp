@@ -7,8 +7,17 @@
 #include "ir/LinearExpr.h"
 
 #include "ir/AST.h"
+#include "support/Failure.h"
+#include "support/MathExtras.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace pdt;
 
@@ -97,6 +106,296 @@ TEST(LinearExpr, Str) {
   EXPECT_EQ(LinearExpr().str(), "0");
   EXPECT_EQ(LinearExpr(-4).str(), "-4");
   EXPECT_EQ(LinearExpr::index("i", -1).str(), "-i");
+}
+
+//===----------------------------------------------------------------------===//
+// Property test against a std::map reference model
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The affine form as two name-ordered maps plus a constant, with its
+/// arithmetic written out: the reference the flat term array must
+/// match, term order included.
+struct RefExpr {
+  std::map<std::string, int64_t> Idx, Sym;
+  int64_t C = 0;
+};
+
+bool refLess(const RefExpr &A, const RefExpr &B) {
+  if (A.C != B.C)
+    return A.C < B.C;
+  if (A.Idx != B.Idx)
+    return A.Idx < B.Idx;
+  return A.Sym < B.Sym;
+}
+
+/// Sum of the terms into \p Out, failing on overflow; zero sums vanish.
+bool refAccumulate(std::map<std::string, int64_t> &Out,
+                   const std::map<std::string, int64_t> &Terms) {
+  for (const auto &[Name, Coeff] : Terms) {
+    std::optional<int64_t> Sum = checkedAdd(Out[Name], Coeff);
+    if (!Sum)
+      return false;
+    Out[Name] = *Sum;
+    if (*Sum == 0)
+      Out.erase(Name);
+  }
+  return true;
+}
+
+std::optional<RefExpr> refAdd(const RefExpr &A, const RefExpr &B) {
+  RefExpr R = A;
+  std::optional<int64_t> C = checkedAdd(A.C, B.C);
+  if (!refAccumulate(R.Idx, B.Idx) || !refAccumulate(R.Sym, B.Sym) || !C)
+    return std::nullopt;
+  R.C = *C;
+  return R;
+}
+
+std::optional<RefExpr> refScale(const RefExpr &A, int64_t F) {
+  RefExpr R;
+  if (F == 0)
+    return R;
+  for (auto [Map, Out] : {std::pair{&A.Idx, &R.Idx}, {&A.Sym, &R.Sym}})
+    for (const auto &[Name, Coeff] : *Map) {
+      std::optional<int64_t> P = checkedMul(Coeff, F);
+      if (!P)
+        return std::nullopt;
+      (*Out)[Name] = *P;
+    }
+  std::optional<int64_t> C = checkedMul(A.C, F);
+  if (!C)
+    return std::nullopt;
+  R.C = *C;
+  return R;
+}
+
+std::optional<RefExpr> refSub(const RefExpr &A, const RefExpr &B) {
+  std::optional<RefExpr> Neg = refScale(B, -1);
+  return Neg ? refAdd(A, *Neg) : std::nullopt;
+}
+
+/// \p E with the index terms \p Retag selects moved to the symbols,
+/// their names suffixed with \p Suffix.
+template <typename Pred>
+std::optional<RefExpr> refRetag(const RefExpr &E, Pred Retag,
+                                const std::string &Suffix) {
+  RefExpr R = E;
+  std::map<std::string, int64_t> Moved;
+  for (const auto &[Name, Coeff] : E.Idx)
+    if (Retag(Name)) {
+      R.Idx.erase(Name);
+      Moved[Name + Suffix] = Coeff;
+    }
+  if (!refAccumulate(R.Sym, Moved))
+    return std::nullopt;
+  return R;
+}
+
+std::string refStr(const RefExpr &E) {
+  auto Magnitude = [](int64_t V) {
+    return V < 0 ? 0 - static_cast<uint64_t>(V) : static_cast<uint64_t>(V);
+  };
+  std::string S;
+  for (const auto *Map : {&E.Idx, &E.Sym})
+    for (const auto &[Name, Coeff] : *Map) {
+      if (S.empty()) {
+        if (Coeff == -1)
+          S += "-";
+        else if (Coeff != 1)
+          S += std::to_string(Coeff) + "*";
+      } else {
+        S += Coeff < 0 ? " - " : " + ";
+        if (Magnitude(Coeff) != 1)
+          S += std::to_string(Magnitude(Coeff)) + "*";
+      }
+      S += Name;
+    }
+  if (S.empty())
+    return std::to_string(E.C);
+  if (E.C != 0)
+    S += (E.C < 0 ? " - " : " + ") + std::to_string(Magnitude(E.C));
+  return S;
+}
+
+/// Checks every observable of \p E against \p R.
+void expectMatches(const LinearExpr &E, const RefExpr &R) {
+  EXPECT_EQ(E.getConstant(), R.C);
+  std::vector<std::pair<std::string, int64_t>> Idx, Sym;
+  for (const auto &[Name, Coeff] : E.indexTerms())
+    Idx.emplace_back(Name, Coeff);
+  for (const auto &[Name, Coeff] : E.symbolTerms())
+    Sym.emplace_back(Name, Coeff);
+  EXPECT_EQ(Idx, (std::vector<std::pair<std::string, int64_t>>(
+                     R.Idx.begin(), R.Idx.end())));
+  EXPECT_EQ(Sym, (std::vector<std::pair<std::string, int64_t>>(
+                     R.Sym.begin(), R.Sym.end())));
+  EXPECT_EQ(E.numIndices(), R.Idx.size());
+  EXPECT_EQ(E.isPureConstant(), R.Idx.empty() && R.Sym.empty());
+  for (const auto &[Name, Coeff] : R.Idx)
+    EXPECT_EQ(E.indexCoeff(Name), Coeff);
+  for (const auto &[Name, Coeff] : R.Sym)
+    EXPECT_EQ(E.symbolCoeff(Name), Coeff);
+  EXPECT_EQ(E.str(), refStr(R));
+}
+
+} // namespace
+
+TEST(LinearExpr, MatchesMapReferenceModel) {
+  // Short names, names past the 15-byte inline buffer, and tagged
+  // names whose order differs from their untagged stems.
+  const std::vector<std::string> Names = {
+      "i",      "j",  "k",  "n",  "i'", "i#src", "i0", "m",
+      "a_very_long_loop_index_name", "another_rather_long_symbol_name",
+      "x2345678901234",  "y23456789012345", "z234567890123456"};
+  const int64_t Coeffs[] = {1,         -1,        2,         -3,
+                            7,         INT64_MAX, INT64_MIN, INT64_MAX - 1,
+                            INT64_MIN + 1, 1LL << 62, -(1LL << 62)};
+  std::mt19937_64 Rng(20260314);
+  auto Pick = [&Rng](size_t N) { return static_cast<size_t>(Rng() % N); };
+  auto Coeff = [&]() -> int64_t {
+    return Pick(4) == 0 ? Coeffs[Pick(std::size(Coeffs))]
+                        : static_cast<int64_t>(Pick(9)) - 4;
+  };
+
+  std::vector<std::pair<LinearExpr, RefExpr>> Pool(8);
+  bool SawSpill = false, SawOverflow = false, SawCancel = false;
+  bool SawLongName = false;
+  for (unsigned Step = 0; Step != 20000; ++Step) {
+    auto &[A, RA] = Pool[Pick(Pool.size())];
+    auto &[B, RB] = Pool[Pick(Pool.size())];
+    const std::string &Name = Names[Pick(Names.size())];
+    std::optional<LinearExpr> E;
+    std::optional<RefExpr> R;
+    bool Threw = false;
+    try {
+      switch (Pick(12)) {
+      case 0: {
+        int64_t K = Coeff();
+        bool IsIndex = Pick(2);
+        E = IsIndex ? LinearExpr::index(Name, K) : LinearExpr::symbol(Name, K);
+        R.emplace();
+        if (K != 0)
+          (IsIndex ? R->Idx : R->Sym)[Name] = K;
+        SawLongName |= K != 0 && Name.size() > 15;
+        break;
+      }
+      case 1:
+        E = LinearExpr::constant(Coeff());
+        R.emplace();
+        R->C = E->getConstant();
+        break;
+      case 2:
+      case 3:
+        R = refAdd(RA, RB);
+        E = A + B;
+        break;
+      case 4:
+        R = refSub(RA, RB);
+        E = A - B;
+        break;
+      case 5: {
+        int64_t F = Coeff();
+        R = refScale(RA, F);
+        E = A.scale(F);
+        break;
+      }
+      case 6: {
+        int64_t D = Coeff();
+        if (D == 0)
+          continue;
+        bool Exact = dividesExactly(RA.C, D);
+        for (const auto *Map : {&RA.Idx, &RA.Sym})
+          for (const auto &[N, K] : *Map)
+            Exact &= dividesExactly(K, D);
+        if (!Exact) {
+          ASSERT_FALSE(A.divideExactly(D).has_value());
+          continue;
+        }
+        if (D == -1) {
+          R = refScale(RA, -1); // INT64_MIN has no quotient.
+        } else {
+          R = RA;
+          R->C /= D;
+          for (auto *Map : {&R->Idx, &R->Sym})
+            for (auto &[N, K] : *Map)
+              K /= D;
+        }
+        E = A.divideExactly(D);
+        ASSERT_TRUE(E.has_value());
+        break;
+      }
+      case 7: {
+        auto It = RA.Idx.find(Name);
+        int64_t K = It == RA.Idx.end() ? 0 : It->second;
+        if (K == 0) {
+          R = RA;
+        } else {
+          RefExpr Rest = RA;
+          Rest.Idx.erase(Name);
+          std::optional<RefExpr> Scaled = refScale(RB, K);
+          R = Scaled ? refAdd(Rest, *Scaled) : std::nullopt;
+        }
+        E = A.substituteIndex(Name, B);
+        break;
+      }
+      case 8:
+        R = RA;
+        R->Idx.erase(Name);
+        E = A.withoutIndex(Name);
+        break;
+      case 10: {
+        // Src - Dst' as SubscriptPair::equation() forms it.
+        RefExpr Dst = RB;
+        Dst.Idx.clear();
+        for (const auto &[N, K] : RB.Idx)
+          Dst.Idx[N + "'"] = K;
+        R = refSub(RA, Dst);
+        E = LinearExpr::taggedDifference(A, B, "'");
+        break;
+      }
+      case 11: {
+        char Cut = "ajnz"[Pick(4)];
+        auto Retag = [Cut](std::string_view N) { return N[0] < Cut; };
+        R = refRetag(
+            RA, [&](const std::string &N) { return Retag(N); }, "#src");
+        E = A.retagIndices(Retag, "#src");
+        break;
+      }
+      case 9:
+        EXPECT_EQ(A == B, RA.Idx == RB.Idx && RA.Sym == RB.Sym &&
+                              RA.C == RB.C);
+        EXPECT_EQ(A < B, refLess(RA, RB));
+        EXPECT_EQ(B < A, refLess(RB, RA));
+        continue;
+      }
+    } catch (const AnalysisError &Err) {
+      EXPECT_EQ(Err.kind(), FailureKind::Overflow);
+      Threw = true;
+    }
+    ASSERT_EQ(Threw, !R.has_value()) << "step " << Step;
+    if (Threw) {
+      SawOverflow = true;
+      continue;
+    }
+    expectMatches(*E, *R);
+    SawSpill |= E->indexTerms().size() + E->symbolTerms().size() >
+                LinearExpr::InlineTerms;
+    SawCancel |= RA.Idx.size() + RB.Idx.size() > R->Idx.size() &&
+                 R->Idx.empty() && !RA.Idx.empty();
+    // Copies and moves of inline and spilled forms alike.
+    LinearExpr Copy = *E;
+    ASSERT_EQ(Copy, *E);
+    auto &Slot = Pool[Pick(Pool.size())];
+    Slot.first = std::move(Copy);
+    Slot.second = *R;
+    expectMatches(Slot.first, Slot.second);
+  }
+  EXPECT_TRUE(SawSpill);
+  EXPECT_TRUE(SawOverflow);
+  EXPECT_TRUE(SawCancel);
+  EXPECT_TRUE(SawLongName);
 }
 
 //===----------------------------------------------------------------------===//

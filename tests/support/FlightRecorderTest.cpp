@@ -127,23 +127,35 @@ TEST_P(FlightRecorderContentionTest, SnapshotNeverTearsUnderContention) {
   FlightRecorder::start(MinRingBytes);
 
   std::atomic<bool> Stop{false};
+  std::atomic<uint64_t> SnapshotsStarted{0};
   std::atomic<uint64_t> SnapshotsTaken{0};
   std::thread Reader([&] {
-    while (!Stop.load(std::memory_order_relaxed)) {
+    while (!Stop.load()) {
+      SnapshotsStarted.fetch_add(1);
       for (const TraceEvent &E : FlightRecorder::snapshot()) {
         // A torn event breaks the payload relation; failing inside the
         // reader thread would be lost, so collect and assert below.
         if (E.DurationNs != 2 * E.StartNs + 1)
           std::abort();
       }
-      SnapshotsTaken.fetch_add(1, std::memory_order_relaxed);
+      SnapshotsTaken.fetch_add(1);
     }
   });
 
+  // Each writer holds its last record until a snapshot that started
+  // after it got there, so while it was still writing, has completed:
+  // the reader provably overlaps every writer, however the threads are
+  // scheduled.
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T != Writers; ++T)
-    Threads.emplace_back(
-        [&, T] { recordSelfChecking(PerThread, uint64_t(T) << 32); });
+    Threads.emplace_back([&, T] {
+      uint64_t Base = uint64_t(T) << 32;
+      recordSelfChecking(PerThread - 1, Base);
+      uint64_t Started = SnapshotsStarted.load();
+      while (SnapshotsTaken.load() <= Started)
+        std::this_thread::yield();
+      recordSelfChecking(1, Base + PerThread - 1);
+    });
   for (std::thread &T : Threads)
     T.join();
   Stop.store(true, std::memory_order_relaxed);
