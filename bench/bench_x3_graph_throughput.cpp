@@ -204,15 +204,13 @@ int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
     std::cerr << "FAIL: scalar configuration reported batched routing\n";
     return 1;
   }
-  if (batchingCompiledIn()) {
-    if (Batched.Stats.BatchedZIV == 0 || Batched.Stats.BatchedStrongSIV == 0) {
-      std::cerr << "FAIL: batch-heavy workload produced no batched verdicts\n";
-      return 1;
-    }
-    if (NumNests >= 11 && Batched.Stats.ScalarFallback == 0) {
-      std::cerr << "FAIL: coupled nests did not reach the scalar fallback\n";
-      return 1;
-    }
+  if (Batched.Stats.BatchedZIV == 0 || Batched.Stats.BatchedStrongSIV == 0) {
+    std::cerr << "FAIL: batch-heavy workload produced no batched verdicts\n";
+    return 1;
+  }
+  if (NumNests >= 11 && Batched.Stats.ScalarFallback == 0) {
+    std::cerr << "FAIL: coupled nests did not reach the scalar fallback\n";
+    return 1;
   }
 
   uint64_t Pairs = Scalar.Stats.ReferencePairs;
@@ -221,9 +219,8 @@ int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
   double Speedup = Scalar.Secs / Batched.Secs;
 
   std::printf("x3 batched-vs-scalar ablation: %u nests, %llu tested pairs, "
-              "%u threads%s\n",
-              NumNests, static_cast<unsigned long long>(Pairs), Threads,
-              batchingCompiledIn() ? "" : " (batching compiled out)");
+              "%u threads\n",
+              NumNests, static_cast<unsigned long long>(Pairs), Threads);
   std::printf("  scalar:   %8.1f ms  %10.0f pairs/sec\n", Scalar.Secs * 1e3,
               ScalarPps);
   std::printf("  batched:  %8.1f ms  %10.0f pairs/sec  (%.2fx)\n",
@@ -276,8 +273,6 @@ int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
        << ", \"tested_pairs\": " << Pairs
        << ", \"smoke\": " << (Smoke ? "true" : "false") << "},\n"
        << "  \"threads\": " << Threads << ",\n"
-       << "  \"batching_compiled_in\": "
-       << (batchingCompiledIn() ? "true" : "false") << ",\n"
        << "  \"scalar_ms\": " << Scalar.Secs * 1e3 << ",\n"
        << "  \"batched_ms\": " << Batched.Secs * 1e3 << ",\n"
        << "  \"scalar_pairs_per_sec\": " << ScalarPps << ",\n"
@@ -291,7 +286,7 @@ int runAblation(bool Smoke, unsigned Threads, unsigned NumNests) {
        << "  \"stats_identical\": true\n"
        << "}\n";
 
-  if (!Smoke && batchingCompiledIn() && Speedup < 1.5) {
+  if (!Smoke && Speedup < 1.5) {
     std::cerr << "FAIL: batched path only " << Speedup
               << "x over scalar (need >= 1.5x)\n";
     return 1;

@@ -156,8 +156,15 @@ void mixBound(size_t &H, std::optional<int64_t> B) {
 
 } // namespace
 
-AccessLoweringCache::LoweredPair &AccessLoweringCache::scratchPair() {
+const AccessLoweringCache::LoweredPair &
+AccessLoweringCache::lowerScratch(unsigned I, unsigned J) const {
   thread_local LoweredPair Scratch;
+  Scratch.Failure.reset();
+  try {
+    lowerPair(I, J, Scratch);
+  } catch (const AnalysisError &E) {
+    Scratch.Failure = E.failure();
+  }
   return Scratch;
 }
 
@@ -331,6 +338,26 @@ AccessLoweringCache::memoizedTestDependence(const LoweredPair &Pair,
 
 DependenceTestResult AccessLoweringCache::testPair(unsigned I, unsigned J,
                                                    TestStats *Stats) const {
+  return testLoweredPair(I, J, lowerScratch(I, J), Stats);
+}
+
+std::optional<DependenceTestResult>
+AccessLoweringCache::routePair(unsigned I, unsigned J, size_t PairIdx,
+                               PairBatchPlan *Plan, TestStats *Stats) const {
+  const LoweredPair &Pair = lowerScratch(I, J);
+  if (Plan) {
+    if (planLoweredPair(I, J, PairIdx, Pair, *Plan))
+      return std::nullopt;
+    if (Stats)
+      ++Stats->ScalarFallback;
+  }
+  return testLoweredPair(I, J, Pair, Stats);
+}
+
+DependenceTestResult
+AccessLoweringCache::testLoweredPair(unsigned I, unsigned J,
+                                     const LoweredPair &Pair,
+                                     TestStats *Stats) const {
   Metrics::count(Metric::PairsTested);
   const ArrayAccess &A = Accesses[I];
   const ArrayAccess &B = Accesses[J];
@@ -343,9 +370,9 @@ DependenceTestResult AccessLoweringCache::testPair(unsigned I, unsigned J,
   // Containment boundary: pair lowering itself can raise (overflow
   // while retagging coefficients, injected faults); degrade to the
   // conservative all-directions edge for this pair only.
+  if (Pair.Failure)
+    return degradedTestResult(commonLoops(A, B).size(), *Pair.Failure, Stats);
   try {
-    LoweredPair &Pair = scratchPair();
-    lowerPair(I, J, Pair);
     // Mismatched dimensionality (legal Fortran through equivalence-style
     // tricks): treat conservatively.
     if (Pair.DimMismatch) {

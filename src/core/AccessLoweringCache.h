@@ -83,10 +83,6 @@ public:
 
   bool isLowered(unsigned Access) const { return Lowered[Access].Ready; }
 
-  const LoweredAccess &lowered(unsigned Access) const {
-    return Lowered[Access];
-  }
-
   /// Classifies the pair's subscripts and, when every dimension is a
   /// batchable constant-difference ZIV or separable strong SIV,
   /// appends its entries and a PairRecord (tagged \p PairIdx) to
@@ -94,6 +90,15 @@ public:
   /// dimension needs the scalar path. Thread-safe for distinct plans.
   bool planBatchedPair(unsigned I, unsigned J, size_t PairIdx,
                        PairBatchPlan &Plan) const;
+
+  /// Lowers the pair once and, given a \p Plan, appends it there as
+  /// planBatchedPair would (returning std::nullopt); else — no plan, or
+  /// the planner rejects it, counting one ScalarFallback — returns
+  /// testPair's result from that same lowering. Thread-safe per plan.
+  std::optional<DependenceTestResult> routePair(unsigned I, unsigned J,
+                                                size_t PairIdx,
+                                                PairBatchPlan *Plan,
+                                                TestStats *Stats) const;
 
   /// Combines the cached forms of accesses \p I and \p J into the same
   /// PreparedPair prepareAccessPair(Accesses[I], Accesses[J], ...)
@@ -113,8 +118,8 @@ private:
   /// One pair lowered for testing: its subscripts and its context,
   /// either a cached per-access context or View, a view of one over
   /// Extra. The pair paths lower pair after pair into one per-thread
-  /// instance (scratchPair), so its buffers are reused and steady-state
-  /// lowering allocates nothing.
+  /// instance (lowerScratch), so its buffers are reused and
+  /// steady-state lowering allocates nothing.
   struct LoweredPair {
     LoweredPair() = default;
     // View points at Extra.
@@ -128,11 +133,21 @@ private:
     bool HasNonlinear = false;
     /// References had different dimensionality; nothing was lowered.
     bool DimMismatch = false;
+    /// Lowering raised; the other members are not valid.
+    std::optional<AnalysisFailure> Failure;
   };
   /// Lowers accesses \p I and \p J into \p Out, replacing its content.
   void lowerPair(unsigned I, unsigned J, LoweredPair &Out) const;
-  /// The calling thread's reusable LoweredPair.
-  static LoweredPair &scratchPair();
+  /// Lowers accesses \p I and \p J into the calling thread's reusable
+  /// LoweredPair, recording an AnalysisError in its Failure.
+  const LoweredPair &lowerScratch(unsigned I, unsigned J) const;
+
+  /// The halves after lowering: planBatchedPair's and testPair's.
+  bool planLoweredPair(unsigned I, unsigned J, size_t PairIdx,
+                       const LoweredPair &Pair, PairBatchPlan &Plan) const;
+  DependenceTestResult testLoweredPair(unsigned I, unsigned J,
+                                       const LoweredPair &Pair,
+                                       TestStats *Stats) const;
 
   /// testDependence keyed by the pair's lowered content, with the
   /// cached statistics delta replayed into \p Stats on hits.

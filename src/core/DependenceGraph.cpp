@@ -24,6 +24,7 @@
 #include <cassert>
 #include <deque>
 #include <map>
+#include <numeric>
 
 using namespace pdt;
 
@@ -149,16 +150,6 @@ std::vector<Dependence> emitEdges(const std::vector<ArrayAccess> &Accesses,
   return Out;
 }
 
-/// Tests one access pair against the cached lowered forms and emits
-/// its dependence edges. Pure function of (Accesses, I, J, Cache), so
-/// pairs may run on any worker in any order.
-std::vector<Dependence> testPairEdges(const std::vector<ArrayAccess> &Accesses,
-                                      unsigned I, unsigned J,
-                                      const AccessLoweringCache &Cache,
-                                      TestStats *Stats) {
-  return emitEdges(Accesses, I, J, Cache.testPair(I, J, Stats));
-}
-
 /// The conservative edges for a pair that was never tested (exhausted
 /// budget) or whose testing failed past every inner containment layer.
 /// \p CountPair adds the pair to the structural statistics; pass false
@@ -258,17 +249,17 @@ DependenceGraph DependenceGraph::build(const Program &P,
                           : 0);
 
   // Route eligible ZIV/strong-SIV pairs through the batched SoA
-  // kernels unless the mode, the compile flag, a pair-skipping budget,
-  // or armed fault injection says otherwise. A deadline or pair cap
-  // degrades pairs mid-run in scalar enumeration order and injection
-  // must hit scalar checkpoints, so those need the pure scalar order;
-  // the FM caps never fire on batched pairs (ZIV/strong-SIV decide
-  // without Fourier-Motzkin), so the driver's default budget does not
-  // forfeit batching.
+  // kernels unless the mode, a pair-skipping budget, or armed fault
+  // injection says otherwise. A deadline or pair cap degrades pairs
+  // mid-run in scalar enumeration order and injection must hit scalar
+  // checkpoints, so those need the pure scalar order; the FM caps never
+  // fire on batched pairs (ZIV/strong-SIV decide without
+  // Fourier-Motzkin), so the driver's default budget does not forfeit
+  // batching.
   bool BudgetSkipsPairs =
       Tracker && (Tracker->limits().Deadline || Tracker->limits().MaxPairs);
   BatchMode Mode = batchMode();
-  bool Batched = batchingCompiledIn() && !BudgetSkipsPairs && !Faulted &&
+  bool Batched = !BudgetSkipsPairs && !Faulted &&
                  (Mode == BatchMode::On ||
                   (Mode == BatchMode::Auto && Pairs.size() >= MinPairsForPool));
 
@@ -280,57 +271,67 @@ DependenceGraph DependenceGraph::build(const Program &P,
                             /*DeferLowering=*/Workers > 1);
 
   std::vector<std::vector<Dependence>> PerPair(Pairs.size());
-  auto ProcessScalar = [&](size_t PairIdx, TestStats *WS) {
-    BuildBeat.beat();
-    auto [I, J] = Pairs[PairIdx];
-    // A failed lowering job leaves its accesses unready; its exception
-    // is already propagating out of the build, so the pair's edges are
-    // never observed.
-    if (!Cache.isLowered(I) || !Cache.isLowered(J))
-      return;
-    // Budgets are enforced on the deterministic sorted pair order for
-    // MaxPairs (so the degraded tail is identical across thread
-    // counts); deadline degradation depends on wall time by nature.
-    if (Tracker && (Tracker->pairBudgetExceeded(PairIdx) ||
-                    Tracker->deadlineExpired())) {
-      Metrics::count(Tracker->pairBudgetExceeded(PairIdx)
-                         ? Metric::BudgetPairSkips
-                         : Metric::BudgetDeadlineSkips);
-      PerPair[PairIdx] = degradedPairEdges(
-          G.Accesses, I, J,
-          AnalysisFailure{FailureKind::BudgetExhausted,
-                          "pair skipped: query budget exhausted"},
-          WS, /*CountPair=*/true);
-      return;
-    }
+  // Last-resort containment: one poisoned pair (e.g. bad_alloc or an
+  // invariant violation escaping the inner boundaries) degrades only
+  // its own edges, on either route.
+  auto Contain = [&](size_t PairIdx, unsigned I, unsigned J, TestStats *WS,
+                     auto &&Test) {
     try {
-      PerPair[PairIdx] = testPairEdges(G.Accesses, I, J, Cache, WS);
+      Test();
     } catch (const std::exception &E) {
-      // Last-resort containment: one poisoned pair (e.g. bad_alloc or
-      // an invariant violation escaping the inner boundaries) degrades
-      // only its own edges.
       PerPair[PairIdx] = degradedPairEdges(
           G.Accesses, I, J,
           AnalysisFailure{FailureKind::InternalInvariant, E.what()}, WS,
           /*CountPair=*/false);
     }
   };
-  auto ProcessBatched = [&](const PairBatchPlan &Plan,
-                            const PairBatchPlan::PairRecord &Rec,
-                            TestStats *WS) {
-    BuildBeat.beat();
-    try {
-      PerPair[Rec.PairIdx] = emitEdges(G.Accesses, Rec.I, Rec.J,
-                                       materializeBatchedPair(Plan, Rec, WS));
-    } catch (const std::exception &E) {
-      PerPair[Rec.PairIdx] = degradedPairEdges(
-          G.Accesses, Rec.I, Rec.J,
-          AnalysisFailure{FailureKind::InternalInvariant, E.what()}, WS,
-          /*CountPair=*/false);
+  // One stripe: pairs Indices[First], Indices[First + Stride], ...,
+  // each lowered once and then either planned into the stripe's batch
+  // or tested on the scalar path from that same lowering. The batch is
+  // decided and materialized at the stripe's end. Every pair writes
+  // only its own PerPair slot and the stripe's stats sink.
+  auto RouteStripe = [&](const std::vector<size_t> &Indices, size_t First,
+                         size_t Stride, TestStats *WS) {
+    PairBatchPlan Plan;
+    for (size_t K = First; K < Indices.size(); K += Stride) {
+      size_t PairIdx = Indices[K];
+      BuildBeat.beat();
+      auto [I, J] = Pairs[PairIdx];
+      // A failed lowering job leaves its accesses unready; its
+      // exception is already propagating out of the build, so the
+      // pair's edges are never observed.
+      if (!Cache.isLowered(I) || !Cache.isLowered(J))
+        continue;
+      // Budgets are enforced on the deterministic sorted pair order for
+      // MaxPairs (so the degraded tail is identical across thread
+      // counts); deadline degradation depends on wall time by nature.
+      if (Tracker && (Tracker->pairBudgetExceeded(PairIdx) ||
+                      Tracker->deadlineExpired())) {
+        Metrics::count(Tracker->pairBudgetExceeded(PairIdx)
+                           ? Metric::BudgetPairSkips
+                           : Metric::BudgetDeadlineSkips);
+        PerPair[PairIdx] = degradedPairEdges(
+            G.Accesses, I, J,
+            AnalysisFailure{FailureKind::BudgetExhausted,
+                            "pair skipped: query budget exhausted"},
+            WS, /*CountPair=*/true);
+        continue;
+      }
+      Contain(PairIdx, I, J, WS, [&] {
+        if (std::optional<DependenceTestResult> R = Cache.routePair(
+                I, J, PairIdx, Batched ? &Plan : nullptr, WS))
+          PerPair[PairIdx] = emitEdges(G.Accesses, I, J, *R);
+      });
     }
+    decidePairBatch(Plan);
+    for (const PairBatchPlan::PairRecord &Rec : Plan.Pairs)
+      Contain(Rec.PairIdx, Rec.I, Rec.J, WS, [&] {
+        PerPair[Rec.PairIdx] = emitEdges(G.Accesses, Rec.I, Rec.J,
+                                         materializeBatchedPair(Plan, Rec, WS));
+      });
   };
 
-  // Per-job statistics sinks; a deque keeps addresses stable while
+  // Per-stripe statistics sinks; a deque keeps addresses stable while
   // jobs are still being added. Merged after the run — TestStats
   // merging is additive, so the merge order cannot matter.
   std::deque<TestStats> JobStats;
@@ -341,36 +342,14 @@ DependenceGraph DependenceGraph::build(const Program &P,
   };
 
   if (Workers == 1) {
-    TestStats *WS = NewStats();
-    if (Batched) {
-      PairBatchPlan Plan;
-      std::vector<size_t> Residue;
-      for (size_t PairIdx = 0; PairIdx != Pairs.size(); ++PairIdx) {
-        auto [I, J] = Pairs[PairIdx];
-        if (!Cache.planBatchedPair(I, J, PairIdx, Plan)) {
-          Residue.push_back(PairIdx);
-          if (WS)
-            ++WS->ScalarFallback;
-        }
-      }
-      decidePairBatch(Plan);
-      for (const PairBatchPlan::PairRecord &Rec : Plan.Pairs)
-        ProcessBatched(Plan, Rec, WS);
-      for (size_t PairIdx : Residue)
-        ProcessScalar(PairIdx, WS);
-    } else {
-      for (size_t PairIdx = 0; PairIdx != Pairs.size(); ++PairIdx)
-        ProcessScalar(PairIdx, WS);
-    }
+    std::vector<size_t> All(Pairs.size());
+    std::iota(All.begin(), All.end(), 0);
+    RouteStripe(All, 0, 1, NewStats());
   } else {
-    // Pipelined schedule: per array bucket, lowering -> (batched
-    // classification + decide) -> batched materialization and scalar
-    // residue as dependency-aware jobs on one shared pool. Buckets
-    // pipeline against each other — one array can be in its decide
-    // stage while another is still lowering — with no global barrier
-    // between stages. Every job writes only its own PerPair slots and
-    // stats sink, so the emitted graph stays byte-identical to the
-    // serial build.
+    // Pipelined schedule: per array bucket, a lowering job and then its
+    // stripe jobs on one shared pool. Buckets pipeline against each
+    // other — one array's stripes run while another is still lowering —
+    // and the emitted graph stays byte-identical to the serial build.
     ThreadPool Pool(Workers);
     JobGraph Graph;
     // Pair indices per bucket (Pairs is globally sorted, so a bucket's
@@ -380,8 +359,6 @@ DependenceGraph DependenceGraph::build(const Program &P,
       BucketPairs[G.Accesses[Pairs[PairIdx].first].Ref->getArrayName()]
           .push_back(PairIdx);
 
-    std::deque<PairBatchPlan> Plans;
-    std::deque<std::vector<size_t>> Residues;
     for (auto &[Name, Members] : Buckets) {
       auto PairsIt = BucketPairs.find(Name);
       if (PairsIt == BucketPairs.end())
@@ -393,55 +370,15 @@ DependenceGraph DependenceGraph::build(const Program &P,
         for (unsigned Access : *BucketMembers)
           Cache.lowerAccess(Access);
       });
-
-      // Scalar work is striped over a fixed job count so the graph can
-      // be built before the residue is known; stripe k takes indices
-      // k, k+N, k+2N, ...
+      // Stripe k takes the bucket's pairs k, k+N, k+2N, ...
       size_t NumStripes = std::clamp<size_t>(Indices.size() / 64, 1, Workers);
-
-      if (Batched) {
-        PairBatchPlan *Plan = &Plans.emplace_back();
-        std::vector<size_t> *Residue = &Residues.emplace_back();
-        TestStats *ClassifyWS = NewStats();
-        JobGraph::JobId Classify = Graph.add(
-            [&Cache, &Pairs, Plan, Residue, ClassifyWS, &Indices] {
-              for (size_t PairIdx : Indices) {
-                auto [I, J] = Pairs[PairIdx];
-                if (!Cache.planBatchedPair(I, J, PairIdx, *Plan)) {
-                  Residue->push_back(PairIdx);
-                  if (ClassifyWS)
-                    ++ClassifyWS->ScalarFallback;
-                }
-              }
-              decidePairBatch(*Plan);
+      for (size_t Stripe = 0; Stripe != NumStripes; ++Stripe) {
+        TestStats *StripeWS = NewStats();
+        Graph.add(
+            [&RouteStripe, &Indices, StripeWS, Stripe, NumStripes] {
+              RouteStripe(Indices, Stripe, NumStripes, StripeWS);
             },
             {Lower});
-        TestStats *DecideWS = NewStats();
-        Graph.add(
-            [&ProcessBatched, Plan, DecideWS] {
-              for (const PairBatchPlan::PairRecord &Rec : Plan->Pairs)
-                ProcessBatched(*Plan, Rec, DecideWS);
-            },
-            {Classify});
-        for (size_t Stripe = 0; Stripe != NumStripes; ++Stripe) {
-          TestStats *StripeWS = NewStats();
-          Graph.add(
-              [&ProcessScalar, Residue, StripeWS, Stripe, NumStripes] {
-                for (size_t K = Stripe; K < Residue->size(); K += NumStripes)
-                  ProcessScalar((*Residue)[K], StripeWS);
-              },
-              {Classify});
-        }
-      } else {
-        for (size_t Stripe = 0; Stripe != NumStripes; ++Stripe) {
-          TestStats *StripeWS = NewStats();
-          Graph.add(
-              [&ProcessScalar, &Indices, StripeWS, Stripe, NumStripes] {
-                for (size_t K = Stripe; K < Indices.size(); K += NumStripes)
-                  ProcessScalar(Indices[K], StripeWS);
-              },
-              {Lower});
-        }
       }
     }
     Graph.run(Pool);

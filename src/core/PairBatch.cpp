@@ -42,25 +42,25 @@ void pdt::setBatchModeOverride(std::optional<BatchMode> Mode) {
   overrideSlot() = Mode;
 }
 
-bool pdt::batchingCompiledIn() {
-#if PDT_BATCHING
-  return true;
-#else
-  return false;
-#endif
-}
+bool pdt::batchingCompiledIn() { return true; }
 
 bool AccessLoweringCache::planBatchedPair(unsigned I, unsigned J,
                                           size_t PairIdx,
                                           PairBatchPlan &Plan) const {
-  const ArrayAccess &A = Accesses[I];
-  const ArrayAccess &B = Accesses[J];
-  // Mismatched dimensionality and partially-lowered accesses (a
-  // lowering job failed; its exception is already in flight) take the
-  // scalar path, which handles both conservatively.
-  if (A.Ref->getNumDims() != B.Ref->getNumDims())
-    return false;
+  // A failed lowering job's accesses (its exception is in flight).
   if (!isLowered(I) || !isLowered(J))
+    return false;
+  return planLoweredPair(I, J, PairIdx, lowerScratch(I, J), Plan);
+}
+
+bool AccessLoweringCache::planLoweredPair(unsigned I, unsigned J,
+                                          size_t PairIdx,
+                                          const LoweredPair &Pair,
+                                          PairBatchPlan &Plan) const {
+  // A lowering that raised (coefficient overflow while retagging),
+  // mismatched dimensionality and nonlinear dimensions take the scalar
+  // path, which handles each conservatively.
+  if (Pair.Failure || Pair.DimMismatch || Pair.HasNonlinear)
     return false;
 
   size_t EntriesMark = Plan.Coeff.size();
@@ -74,15 +74,10 @@ bool AccessLoweringCache::planBatchedPair(unsigned I, unsigned J,
     return false;
   };
 
-  // Lowering and equation building can raise AnalysisError (coefficient
-  // overflow while retagging or differencing); the scalar path degrades
-  // such pairs, so they must not be batched.
+  // Equation building can raise AnalysisError (coefficient overflow
+  // while differencing); the scalar path degrades such pairs, so they
+  // must not be batched.
   try {
-    LoweredPair &Pair = scratchPair();
-    lowerPair(I, J, Pair);
-    if (Pair.DimMismatch || Pair.HasNonlinear)
-      return false;
-
     const LoopNestContext &Ctx = *Pair.Ctx;
     unsigned Depth = Ctx.depth();
     // The coupled-level bitmask below holds 64 levels; deeper nests

@@ -20,10 +20,9 @@
 /// scalar verdicts are bit-identical by construction (the differential
 /// suite and the fuzzer cross-check this).
 ///
-/// Batching is controlled by PDT_BATCH (on/off/auto, default auto), a
-/// thread-local programmatic override for tests and the fuzzer's
-/// cross-check, and the PDT_BATCHING compile option (the batched-off
-/// CMake preset forces the scalar path for the whole build).
+/// Batching is controlled by PDT_BATCH (on/off/auto, default auto) and
+/// a thread-local programmatic override for tests and the fuzzer's
+/// cross-check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,9 +53,8 @@ BatchMode batchMode();
 /// worker threads without racing each other.
 void setBatchModeOverride(std::optional<BatchMode> Mode);
 
-/// False when the build compiled the fast path out (PDT_BATCHING=OFF);
-/// the graph builder then always takes the scalar path regardless of
-/// mode.
+/// Always true: the fast path is in every build. Kept only because the
+/// benchmark's core replay (perfbench/src/Replay.cpp) calls it.
 bool batchingCompiledIn();
 
 /// The structure-of-arrays batch for one decide pass. Entries are

@@ -11,6 +11,7 @@
 #include "support/Metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <mutex>
@@ -535,6 +536,9 @@ std::shared_ptr<ResultStore> &activeSlot() {
   static std::shared_ptr<ResultStore> Slot;
   return Slot;
 }
+/// Whether a store is active: the disarmed probe is one relaxed load,
+/// as Trace::capturing() gates a disarmed span.
+std::atomic<bool> AnyActive{false};
 
 thread_local unsigned BypassDepth = 0;
 
@@ -554,16 +558,18 @@ bool ResultStore::activate(const std::string &Dir,
       new ResultStore(std::move(Seg), Generation));
   std::lock_guard<std::mutex> Lock(ActiveMutex);
   activeSlot().swap(S); // Old store (if any) flushes on destruction.
+  AnyActive.store(true, std::memory_order_relaxed);
   return true;
 }
 
 void ResultStore::deactivate() {
   std::lock_guard<std::mutex> Lock(ActiveMutex);
   activeSlot().reset();
+  AnyActive.store(false, std::memory_order_relaxed);
 }
 
 std::shared_ptr<ResultStore> ResultStore::active() {
-  if (BypassDepth != 0)
+  if (BypassDepth != 0 || !AnyActive.load(std::memory_order_relaxed))
     return nullptr;
   std::lock_guard<std::mutex> Lock(ActiveMutex);
   return activeSlot();

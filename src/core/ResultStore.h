@@ -118,8 +118,8 @@ public:
   /// Flushes and closes the process-wide store.
   static void deactivate();
 
-  /// The process-wide store, or null when inactive or bypassed on this
-  /// thread (StoreBypassGuard).
+  /// The process-wide store, or null (one relaxed load, no lock) when
+  /// inactive or bypassed on this thread (StoreBypassGuard).
   static std::shared_ptr<ResultStore> active();
 
   /// Looks up a canonicalized pair. On a hit, rehydrates the result

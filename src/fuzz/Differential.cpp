@@ -215,8 +215,7 @@ void checkDynamicCoverage(const FuzzKernel &K, const FuzzCheckConfig &Config,
   // indistinguishable from the scalar testers on every kernel. Forced
   // On (not Auto) so small kernels below the batching threshold still
   // exercise the planner and kernels.
-  if (Config.RunBatchCrossCheck && batchingCompiledIn() &&
-      !FaultInjector::armed()) {
+  if (Config.RunBatchCrossCheck && !FaultInjector::armed()) {
     TestStats BatchedStats;
     DependenceGraph BatchedG = [&] {
       StoreBypassGuard NoStore;

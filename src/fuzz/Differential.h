@@ -104,9 +104,8 @@ struct FuzzCheckConfig {
   bool FailOnDegraded = false;
   /// On kernels that run the whole-pipeline check, also rebuild the
   /// dependence graph with batching forced on and forced off and
-  /// require identical graphs and TestStats (skipped when batching is
-  /// compiled out or fault injection is armed, which forces the
-  /// scalar path anyway).
+  /// require identical graphs and TestStats (skipped when fault
+  /// injection is armed, which forces the scalar path anyway).
   bool RunBatchCrossCheck = true;
   /// On kernels that run the whole-pipeline check and while a
   /// persistent result store is active, rebuild the dependence graph

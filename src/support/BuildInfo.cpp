@@ -12,9 +12,6 @@
 #ifndef PDT_BUILD_TYPE
 #define PDT_BUILD_TYPE "unknown"
 #endif
-#ifndef PDT_OPT_BATCHING
-#define PDT_OPT_BATCHING 1
-#endif
 #ifndef PDT_OPT_SANITIZE
 #define PDT_OPT_SANITIZE 0
 #endif
@@ -25,13 +22,10 @@ const BuildInfo &pdt::buildInfo() {
   static const BuildInfo Info = {
       AnalyzerVersion,
       sizeof(PDT_BUILD_TYPE) > 1 ? PDT_BUILD_TYPE : "unknown",
-      PDT_OPT_BATCHING != 0,
       PDT_OPT_SANITIZE != 0,
   };
   return Info;
 }
-
-static const char *onOff(bool B) { return B ? "on" : "off"; }
 
 std::string pdt::buildInfoLine(const char *Tool) {
   const BuildInfo &I = buildInfo();
@@ -40,10 +34,8 @@ std::string pdt::buildInfoLine(const char *Tool) {
   Out += I.Version;
   Out += " (build ";
   Out += I.BuildType;
-  Out += "; batching=";
-  Out += onOff(I.Batching);
-  Out += " sanitize=";
-  Out += onOff(I.Sanitize);
+  Out += "; sanitize=";
+  Out += I.Sanitize ? "on" : "off";
   Out += ')';
   return Out;
 }
@@ -54,9 +46,7 @@ std::string pdt::buildInfoJson() {
   Out += I.Version;
   Out += "\", \"build_type\": \"";
   Out += I.BuildType;
-  Out += "\", \"batching\": ";
-  Out += I.Batching ? "true" : "false";
-  Out += ", \"sanitize\": ";
+  Out += "\", \"sanitize\": ";
   Out += I.Sanitize ? "true" : "false";
   Out += "}";
   return Out;

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The single source of truth for "what binary is this": the analyzer
-/// generation string, the CMake build type, and which compile-time
-/// options (PDT_BATCHING / PDT_SANITIZE) were baked in. Every surface
+/// generation string, the CMake build type, and whether the build runs
+/// under a sanitizer (PDT_SANITIZE). Every surface
 /// that stamps provenance — the CLI `--version` lines, the
 /// event-journal header, the time-series header, `BenchMeta`, the
 /// analyzer options fingerprint — renders from this one struct so they
@@ -32,7 +32,6 @@ inline constexpr const char *AnalyzerVersion = "pdt-analyzer-v7";
 struct BuildInfo {
   const char *Version;         ///< AnalyzerVersion.
   const char *BuildType;       ///< CMAKE_BUILD_TYPE ("unknown" without CMake).
-  bool Batching;               ///< PDT_BATCHING compiled in.
   bool Sanitize;               ///< Built under a sanitizer preset.
 };
 
@@ -40,7 +39,7 @@ struct BuildInfo {
 const BuildInfo &buildInfo();
 
 /// One human-facing line for `--version`:
-///   "depcheck pdt-analyzer-v7 (build Release; batching=on sanitize=off)"
+///   "depcheck pdt-analyzer-v7 (build Release; sanitize=off)"
 std::string buildInfoLine(const char *Tool);
 
 /// The same facts as a JSON object (no trailing newline), embedded in

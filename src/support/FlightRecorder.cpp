@@ -16,9 +16,11 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 
 using namespace pdt;
 
@@ -87,11 +89,36 @@ bool parseSpecImpl(const std::string &Spec, bool &On, size_t &BytesPerThread,
 
 namespace {
 
+/// One ring slot: a TraceEvent's bytes as relaxed atomic words, so a
+/// snapshot may copy a slot its writer is overwriting without a data
+/// race (the re-check of Count then discards the copy).
+struct FlightSlot {
+  static constexpr size_t Words = sizeof(TraceEvent) / sizeof(uint64_t);
+  std::atomic<uint64_t> W[Words];
+
+  void store(const TraceEvent &E) {
+    uint64_t Raw[Words] = {};
+    std::memcpy(Raw, &E, sizeof(E));
+    for (size_t K = 0; K != Words; ++K)
+      W[K].store(Raw[K], std::memory_order_relaxed);
+  }
+  TraceEvent load() const {
+    uint64_t Raw[Words] = {};
+    for (size_t K = 0; K != Words; ++K)
+      Raw[K] = W[K].load(std::memory_order_relaxed);
+    TraceEvent E;
+    std::memcpy(&E, Raw, sizeof(E));
+    return E;
+  }
+};
+static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+              sizeof(FlightSlot) == sizeof(TraceEvent));
+
 /// One thread's ring. Single writer (the owning thread): store the
 /// slot, then publish Count with release. Count is monotonic and
 /// never wrapped — slot index is Count % Slots.size().
 struct FlightRing {
-  std::vector<TraceEvent> Slots;
+  std::vector<FlightSlot> Slots;
   std::atomic<uint64_t> Count{0};
   uint32_t Tid = 0;
 };
@@ -119,7 +146,7 @@ std::shared_ptr<FlightRing> registerRing() {
   FlightState &S = state();
   auto Ring = std::make_shared<FlightRing>();
   std::lock_guard<std::mutex> Lock(S.M);
-  Ring->Slots.resize(S.SlotsPerThread);
+  Ring->Slots = std::vector<FlightSlot>(S.SlotsPerThread);
   Ring->Tid = static_cast<uint32_t>(S.Rings.size());
   S.Rings.push_back(Ring);
   return Ring;
@@ -176,9 +203,12 @@ void FlightRecorder::record(const TraceEvent &E) {
   }
   FlightRing &Ring = *Ref.Ring;
   uint64_t N = Ring.Count.load(std::memory_order_relaxed);
+  // Seqlock writer: a snapshot that reads any payload store below also
+  // sees Count >= N on its re-read, and discards the slot.
   TraceEvent Slot = E;
   Slot.Tid = Ring.Tid;
-  Ring.Slots[N % Ring.Slots.size()] = Slot;
+  std::atomic_thread_fence(std::memory_order_release);
+  Ring.Slots[N % Ring.Slots.size()].store(Slot);
   Ring.Count.store(N + 1, std::memory_order_release);
 }
 
@@ -197,12 +227,14 @@ std::vector<TraceEvent> FlightRecorder::snapshot() {
     std::vector<std::pair<uint64_t, TraceEvent>> Window;
     Window.reserve(End - Begin);
     for (uint64_t I = Begin; I != End; ++I)
-      Window.emplace_back(I, Ring->Slots[I % Cap]);
+      Window.emplace_back(I, Ring->Slots[I % Cap].load());
     // Writers kept running during the copy: any slot whose index the
     // writer could have reused — published overwrites up to End2, plus
     // the one unpublished write of index End2 that may be in flight —
-    // must be discarded, or we could return a torn event.
-    uint64_t End2 = Ring->Count.load(std::memory_order_acquire);
+    // must be discarded, or we could return a torn event. The fence
+    // pairs with the writer's, so End2 covers every store copied.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    uint64_t End2 = Ring->Count.load(std::memory_order_relaxed);
     uint64_t FirstSafe = End2 >= Cap ? End2 - Cap + 1 : 0;
     for (const auto &[Index, Event] : Window)
       if (Index >= FirstSafe)

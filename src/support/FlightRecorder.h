@@ -17,9 +17,9 @@
 /// Ring invariants (checked by FlightRecorderTest under 1/4/8-thread
 /// contention):
 ///
-///   * single writer per ring: the owning thread stores the slot, then
-///     publishes Count with a release store — no locks, no RMW on the
-///     record path;
+///   * single writer per ring: the owning thread stores the slot as
+///     relaxed atomics, then publishes Count with a release store — no
+///     locks, no RMW on the record path;
 ///   * Count is monotonic; Overwritten == max(0, Count - Capacity);
 ///   * snapshot() is lock-free against writers: it copies the window
 ///     [Count - min(Count, Cap), Count) under an acquire load, then

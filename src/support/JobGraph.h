@@ -7,14 +7,13 @@
 ///
 /// \file
 /// A small dependency-aware job scheduler layered over ThreadPool. A
-/// JobGraph models a pipeline (lowering -> classification -> batched
-/// decide -> scalar residue) as jobs with explicit predecessor edges;
-/// run() executes every job on a shared pool, starting each the moment
-/// its predecessors finish. Independent chains from different loop
-/// nests therefore pipeline across each other instead of barriering
-/// per stage, which is what the graph builder and the corpus sweep
-/// need: one nest can be in its decide stage while another is still
-/// lowering.
+/// JobGraph models a pipeline (lowering -> pair stripes) as jobs with
+/// explicit predecessor edges; run() executes every job on a shared
+/// pool, starting each the moment its predecessors finish. Independent
+/// chains from different arrays therefore pipeline across each other
+/// instead of barriering per stage, which is what the graph builder
+/// and the corpus sweep need: one array's pairs can be tested while
+/// another is still lowering.
 ///
 /// The graph is acyclic by construction: a job may only depend on jobs
 /// added before it. Execution with one worker is deterministic (a

@@ -101,11 +101,9 @@ TEST(AllocationGuard, SerialBigProgramBuild) {
 
   // With the string-keyed affine core (two std::map per LinearExpr, a
   // copied SymbolRangeMap per pair context, str()-built memo keys) this
-  // build made 192,785 allocations; the flat core makes 31,708, or
-  // 37,626 with the batched path compiled out (its 384 accepted pairs
-  // then copy and orient their memoized results). The bound allows 10%
-  // above the flat core's count.
-  const uint64_t Measured = batchingCompiledIn() ? 31708 : 37626;
+  // build made 192,785 allocations; the flat core makes 31,708. The
+  // bound allows 10% above that count.
+  const uint64_t Measured = 31708;
   EXPECT_LE(First, Measured + Measured / 10)
       << "serial build allocations: " << First;
 }

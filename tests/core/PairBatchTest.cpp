@@ -18,6 +18,7 @@
 
 #include "core/PairBatch.h"
 
+#include "core/AccessLoweringCache.h"
 #include "core/DependenceGraph.h"
 #include "driver/Analyzer.h"
 #include "driver/WorkloadGenerator.h"
@@ -27,6 +28,7 @@
 #include <cstdlib>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 
 using namespace pdt;
@@ -127,17 +129,13 @@ TEST(PairBatch, RoutingCountersReflectRouting) {
   EXPECT_EQ(routingTotal(Off.Stats), 0u);
 
   BuildOut On = buildWith(*Base.Prog, Base.ResolvedSymbols, BatchMode::On, 1);
-  if (batchingCompiledIn()) {
-    EXPECT_GT(On.Stats.BatchedZIV, 0u);
-    EXPECT_GT(On.Stats.BatchedStrongSIV, 0u);
-    // The workload plants coupled (i+j) subscripts every 11th nest.
-    EXPECT_GT(On.Stats.ScalarFallback, 0u);
-    // Batched subscripts are a subset of the structural classes.
-    EXPECT_LE(On.Stats.BatchedZIV, On.Stats.ZIVSubscripts);
-    EXPECT_LE(On.Stats.BatchedStrongSIV, On.Stats.SIVSubscripts);
-  } else {
-    EXPECT_EQ(routingTotal(On.Stats), 0u);
-  }
+  EXPECT_GT(On.Stats.BatchedZIV, 0u);
+  EXPECT_GT(On.Stats.BatchedStrongSIV, 0u);
+  // The workload plants coupled (i+j) subscripts every 11th nest.
+  EXPECT_GT(On.Stats.ScalarFallback, 0u);
+  // Batched subscripts are a subset of the structural classes.
+  EXPECT_LE(On.Stats.BatchedZIV, On.Stats.ZIVSubscripts);
+  EXPECT_LE(On.Stats.BatchedStrongSIV, On.Stats.SIVSubscripts);
 
   // Routing must not leak into results.
   EXPECT_EQ(On.Graph, Off.Graph);
@@ -148,8 +146,6 @@ TEST(PairBatch, DriverPathBatchesUnderUnlimitedBudget) {
   // analyzeSource always carries a ResourceBudget; the default
   // (unlimited) budget must not forfeit batching — only the
   // pair-skipping limits (deadline, pair cap) force scalar order.
-  if (!batchingCompiledIn())
-    GTEST_SKIP() << "PDT_BATCHING=OFF";
   std::mt19937_64 Rng(7);
   std::string Source = generateBatchHeavyProgramSource(Rng, /*NumNests=*/8);
 
@@ -171,11 +167,62 @@ TEST(PairBatch, DriverPathBatchesUnderUnlimitedBudget) {
   EXPECT_TRUE(Capped.Stats == Unlimited.Stats);
 }
 
+TEST(PairBatch, RoutingCountsMatchThePlanner) {
+  // Each pair is routed once: the build's ScalarFallback must be the
+  // number of enumerated pairs planBatchedPair rejects, and its batched
+  // counters the number of entries it plans, whichever stripes the
+  // pairs land in. Inputs: the ablation's batch-heavy program and
+  // bench_x3's 64-nest program.
+  std::mt19937_64 HeavyRng(0x5EEDBA7C4);
+  std::mt19937_64 BigRng(0xBADC0FFEE);
+  const std::string Sources[] = {
+      generateBatchHeavyProgramSource(HeavyRng, 64),
+      generateRandomProgramSource(BigRng, 64, /*MaxDepth=*/3,
+                                  /*StmtsPerNest=*/3)};
+  for (const std::string &Source : Sources) {
+    AnalysisResult Base = analyzed(Source);
+    ASSERT_TRUE(Base.Parsed);
+    const Program &P = *Base.Prog;
+
+    // The build's enumeration: same-array, write-involving pairs.
+    std::vector<ArrayAccess> Accesses = collectAccesses(P);
+    std::set<std::string> VaryingScalars = collectVaryingScalars(P);
+    AccessLoweringCache Cache(Accesses, Base.ResolvedSymbols,
+                              &VaryingScalars);
+    PairBatchPlan Plan;
+    uint64_t Rejected = 0;
+    size_t PairIdx = 0;
+    for (unsigned I = 0; I != Accesses.size(); ++I)
+      for (unsigned J = I; J != Accesses.size(); ++J) {
+        if (Accesses[I].Ref->getArrayName() !=
+                Accesses[J].Ref->getArrayName() ||
+            (I == J && !Accesses[I].IsWrite) ||
+            (!Accesses[I].IsWrite && !Accesses[J].IsWrite))
+          continue;
+        if (!Cache.planBatchedPair(I, J, PairIdx++, Plan))
+          ++Rejected;
+      }
+    ASSERT_GT(Plan.Pairs.size(), 0u);
+    ASSERT_GT(Rejected, 0u);
+
+    for (unsigned Threads : {1u, 4u}) {
+      BuildOut On = buildWith(P, Base.ResolvedSymbols, BatchMode::On, Threads);
+      EXPECT_EQ(On.Stats.ReferencePairs, PairIdx) << Threads << " thread(s)";
+      EXPECT_EQ(On.Stats.ScalarFallback, Rejected) << Threads << " thread(s)";
+      EXPECT_EQ(On.Stats.BatchedZIV + On.Stats.BatchedStrongSIV,
+                Plan.numEntries())
+          << Threads << " thread(s)";
+    }
+  }
+}
+
 TEST(PairBatch, BatchedMatchesScalarAcrossSeedsAndThreads) {
   // The bulk differential: batch-heavy and generic random programs,
-  // many seeds, scalar reference at 1 thread vs batched at 1 and 4
-  // threads. TotalPairs counts the reference pairs each configuration
-  // tested; the suite must exercise >= 100k.
+  // many seeds, scalar reference at 1 thread vs batched at 1 to 8
+  // threads — every stripe count from one up to the worker count, and
+  // strides that split buckets unevenly. TotalPairs counts the
+  // reference pairs each configuration tested; the suite must exercise
+  // >= 100k.
   uint64_t TotalPairs = 0;
   for (uint64_t Seed = 0; Seed != 18; ++Seed) {
     std::mt19937_64 Rng(Seed * 7919 + 1);
@@ -189,7 +236,7 @@ TEST(PairBatch, BatchedMatchesScalarAcrossSeedsAndThreads) {
     BuildOut Ref =
         buildWith(*Base.Prog, Base.ResolvedSymbols, BatchMode::Off, 1);
     TotalPairs += Ref.Stats.ReferencePairs;
-    for (unsigned Threads : {1u, 4u}) {
+    for (unsigned Threads : {1u, 2u, 3u, 4u, 8u}) {
       BuildOut On =
           buildWith(*Base.Prog, Base.ResolvedSymbols, BatchMode::On, Threads);
       TotalPairs += On.Stats.ReferencePairs;

@@ -8,7 +8,9 @@
 // CMake only warns about an unused -D, so a preset or a README line
 // that names a deleted option would quietly configure the default
 // build. These checks keep CMakePresets.json and README.md in lockstep
-// with the option(PDT_...) declarations of the top-level CMakeLists.txt.
+// with the option(PDT_...) declarations of the top-level CMakeLists.txt,
+// and keep every build and test preset pointing at a configure preset
+// and a documented environment.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace pdt;
 
@@ -47,18 +50,27 @@ std::set<std::string> declaredOptions() {
   return captures(readRepoFile("CMakeLists.txt"), R"(\boption\((PDT_\w+))");
 }
 
+json::Value presets() {
+  std::string Error;
+  std::optional<json::Value> Presets =
+      json::parse(readRepoFile("CMakePresets.json"), &Error);
+  EXPECT_TRUE(Presets) << "CMakePresets.json: " << Error;
+  return Presets ? *Presets : json::Value();
+}
+
+/// The presets of one kind ("configurePresets", ...); empty if absent.
+std::vector<json::Value> presetsOf(const json::Value &Presets,
+                                   const char *Kind) {
+  const json::Value *List = Presets.find(Kind);
+  return List && List->isArray() ? List->asArray() : std::vector<json::Value>();
+}
+
 } // namespace
 
 TEST(BuildConfigDocs, PresetsSetOnlyDeclaredOptions) {
   std::set<std::string> Options = declaredOptions();
   ASSERT_FALSE(Options.empty()) << "no option(PDT_...) in CMakeLists.txt";
-  std::string Error;
-  std::optional<json::Value> Presets =
-      json::parse(readRepoFile("CMakePresets.json"), &Error);
-  ASSERT_TRUE(Presets) << "CMakePresets.json: " << Error;
-  const json::Value *Configure = Presets->find("configurePresets");
-  ASSERT_TRUE(Configure && Configure->isArray());
-  for (const json::Value &Preset : Configure->asArray()) {
+  for (const json::Value &Preset : presetsOf(presets(), "configurePresets")) {
     const json::Value *Vars = Preset.find("cacheVariables");
     if (!Vars)
       continue;
@@ -66,6 +78,41 @@ TEST(BuildConfigDocs, PresetsSetOnlyDeclaredOptions) {
       EXPECT_TRUE(Var.first == "CMAKE_BUILD_TYPE" || Options.count(Var.first))
           << "preset " << Preset.stringAt("name").value_or("?")
           << " sets undeclared cache variable " << Var.first;
+  }
+}
+
+TEST(BuildConfigDocs, PresetsNameExistingConfigurePresets) {
+  // A build or test preset left pointing at a deleted configure preset
+  // fails only when someone runs it.
+  json::Value Presets = presets();
+  std::set<std::string> Configure;
+  for (const json::Value &Preset : presetsOf(Presets, "configurePresets"))
+    Configure.insert(Preset.stringAt("name").value_or(""));
+  ASSERT_FALSE(Configure.empty()) << "no configure presets";
+  for (const char *Kind : {"buildPresets", "testPresets"})
+    for (const json::Value &Preset : presetsOf(Presets, Kind))
+      EXPECT_TRUE(Configure.count(
+          Preset.stringAt("configurePreset").value_or("")))
+          << Kind << " " << Preset.stringAt("name").value_or("?")
+          << " names a missing configure preset";
+}
+
+TEST(BuildConfigDocs, TestPresetEnvironmentIsDocumented) {
+  // Every variable a test preset sets must be a knob of README's
+  // environment table, so a misspelt one cannot silently run the
+  // default configuration.
+  std::set<std::string> Documented =
+      captures(readRepoFile("README.md"), R"(\n\| `(PDT_\w+)=)");
+  ASSERT_FALSE(Documented.empty()) << "README.md has no environment table";
+  for (const json::Value &Preset : presetsOf(presets(), "testPresets")) {
+    const json::Value *Env = Preset.find("environment");
+    if (!Env)
+      continue;
+    for (const json::Member &Var : Env->asObject())
+      EXPECT_TRUE(Documented.count(Var.first))
+          << "test preset " << Preset.stringAt("name").value_or("?")
+          << " sets " << Var.first
+          << ", which README's environment table does not list";
   }
 }
 

@@ -171,10 +171,12 @@ TEST_P(FlightRecorderContentionTest, SnapshotNeverTearsUnderContention) {
   EXPECT_EQ(S.Recorded, uint64_t(Writers) * PerThread);
   EXPECT_EQ(S.Overwritten, uint64_t(Writers) * (PerThread - 64));
   ASSERT_EQ(Events.size(), uint64_t(Writers) * 63);
-  for (size_t I = 1; I != Events.size(); ++I)
-    if (Events[I].Tid == Events[I - 1].Tid)
+  for (size_t I = 1; I != Events.size(); ++I) {
+    if (Events[I].Tid == Events[I - 1].Tid) {
       EXPECT_EQ(Events[I].StartNs, Events[I - 1].StartNs + 1)
           << "per-thread window not contiguous at " << I;
+    }
+  }
   for (const TraceEvent &E : Events)
     ASSERT_EQ(E.DurationNs, 2 * E.StartNs + 1) << "torn event survived";
 }
