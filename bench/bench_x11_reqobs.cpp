@@ -562,14 +562,6 @@ int main(int argc, char **argv) {
       if (P.Ok != OverheadWant || P.Mismatches ||
           P.SampleNs.size() != OverheadWant)
         continue;
-      if (std::getenv("PDT_X11_DEBUG")) {
-        std::vector<uint64_t> Leg = P.SampleNs;
-        std::nth_element(Leg.begin(), Leg.begin() + Leg.size() / 10,
-                         Leg.end());
-        std::fprintf(stderr, "  rep %u %s: p10 %.2f us/req\n", Rep,
-                     ArmLeg ? "armed   " : "disarmed",
-                     double(Leg[Leg.size() / 10]) / 1e3);
-      }
       std::vector<uint64_t> &Pool = ArmLeg ? ArmedNs : DisarmedNs;
       Pool.insert(Pool.end(), P.SampleNs.begin(), P.SampleNs.end());
     }

@@ -11,8 +11,7 @@
 //
 //   depserved [--port N] [--threads N] [--queue N] [--idle-ms N]
 //             [--max-body BYTES] [--deadline-ms N] [--max-pairs N]
-//             [--job-threads N] [--any-interface] [--report FILE]
-//             [--access-log FILE]
+//             [--any-interface] [--report FILE] [--access-log FILE]
 //   depserved --version
 //
 // Defaults come from the PDT_SERVE_* environment knobs (see
@@ -55,8 +54,7 @@ int usage(const char *Argv0) {
       stderr,
       "usage: %s [--port N] [--threads N] [--queue N] [--idle-ms N]\n"
       "          [--max-body BYTES] [--deadline-ms N] [--max-pairs N]\n"
-      "          [--job-threads N] [--any-interface] [--report FILE]\n"
-      "          [--access-log FILE]\n"
+      "          [--any-interface] [--report FILE] [--access-log FILE]\n"
       "       %s --version\n"
       "\n"
       "Dependence analysis as a service; see docs/SERVING.md.\n"
@@ -125,10 +123,6 @@ int main(int Argc, char **Argv) {
       if (!parseUnsigned(Value(), ~0ull, N))
         return usage(Argv[0]);
       Limits.MaxPairs = N;
-    } else if (!std::strcmp(Arg, "--job-threads")) {
-      if (!parseUnsigned(Value(), 64, N) || N == 0)
-        return usage(Argv[0]);
-      Limits.JobThreads = static_cast<unsigned>(N);
     } else if (!std::strcmp(Arg, "--any-interface")) {
       Config.LoopbackOnly = false;
     } else if (!std::strcmp(Arg, "--report")) {
@@ -173,12 +167,10 @@ int main(int Argc, char **Argv) {
 
   std::printf("depserved listening on port %u\n",
               static_cast<unsigned>(Daemon.port()));
-  std::printf("  workers=%u queue=%zu idle_ms=%llu deadline_ms=%llu "
-              "job_threads=%u\n",
+  std::printf("  workers=%u queue=%zu idle_ms=%llu deadline_ms=%llu\n",
               Config.Threads, Config.QueueCapacity,
               static_cast<unsigned long long>(Config.IdleTimeoutMs),
-              static_cast<unsigned long long>(Limits.DeadlineMs),
-              Limits.JobThreads);
+              static_cast<unsigned long long>(Limits.DeadlineMs));
   std::fflush(stdout);
 
   // Block until SIGTERM/SIGINT drains us.

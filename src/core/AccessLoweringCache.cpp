@@ -34,21 +34,17 @@ AccessLoweringCache::~AccessLoweringCache() = default;
 
 AccessLoweringCache::AccessLoweringCache(
     const std::vector<ArrayAccess> &Accesses, const SymbolRangeMap &Symbols,
-    const std::set<std::string> *VaryingScalars, bool DeferLowering)
-    : Accesses(Accesses), Symbols(Symbols), VaryingScalars(VaryingScalars),
+    const std::set<std::string> *VaryingScalars)
+    : Accesses(Accesses), Symbols(Symbols),
       Memo(std::make_unique<MemoShard[]>(NumMemoShards)) {
-  // Counted up front in both modes so the lowering counter never
-  // depends on how many buckets the deferred schedule actually
-  // reaches.
   Metrics::count(Metric::AccessesLowered, Accesses.size());
   Lowered.resize(Accesses.size());
-  if (DeferLowering)
-    return;
   for (unsigned I = 0, E = Accesses.size(); I != E; ++I)
-    lowerAccess(I);
+    lowerAccess(I, VaryingScalars);
 }
 
-void AccessLoweringCache::lowerAccess(unsigned Access) {
+void AccessLoweringCache::lowerAccess(
+    unsigned Access, const std::set<std::string> *VaryingScalars) {
   Span LowerSpan("AccessLoweringCache::lower", "cache");
   const ArrayAccess &Source = Accesses[Access];
   LoweredAccess &L = Lowered[Access];
@@ -78,7 +74,6 @@ void AccessLoweringCache::lowerAccess(unsigned Access) {
   }
 
   L.OwnCtx = LoopNestContext::overSharedSymbols(Source.LoopStack, Symbols);
-  L.Ready = true;
 }
 
 namespace {

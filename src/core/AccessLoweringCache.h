@@ -51,37 +51,21 @@ struct LoweredAccess {
   /// the ranges of renamed non-common indices), or this context itself
   /// when the common nest is the whole stack and nothing was renamed.
   LoopNestContext OwnCtx;
-  /// lowerAccess completed for this entry (always true after an eager
-  /// construction; deferred entries flip it as their lowering job
-  /// runs).
-  bool Ready = false;
 };
 
 class AccessLoweringCache {
 public:
   /// Lowers every access of \p Accesses under symbol assumptions
   /// \p Symbols. \p VaryingScalars (may be null) names scalars whose
-  /// mention makes a subscript nonlinear. The accesses vector (and
-  /// VaryingScalars when deferring) must outlive the cache. With
-  /// \p DeferLowering the constructor only sizes the table; the caller
-  /// schedules lowerAccess per access (the job-graph builder lowers
-  /// each array's accesses as that bucket's pipeline starts, instead
-  /// of lowering the whole program up front).
+  /// mention makes a subscript nonlinear. The accesses vector must
+  /// outlive the cache.
   AccessLoweringCache(const std::vector<ArrayAccess> &Accesses,
                       const SymbolRangeMap &Symbols,
-                      const std::set<std::string> *VaryingScalars,
-                      bool DeferLowering = false);
+                      const std::set<std::string> *VaryingScalars);
   ~AccessLoweringCache();
   /// The cached contexts point at this object's symbol map.
   AccessLoweringCache(const AccessLoweringCache &) = delete;
   AccessLoweringCache &operator=(const AccessLoweringCache &) = delete;
-
-  /// Lowers one access (idempotent is NOT required: call exactly once
-  /// per access, before any pair involving it is tested). Distinct
-  /// accesses may be lowered concurrently.
-  void lowerAccess(unsigned Access);
-
-  bool isLowered(unsigned Access) const { return Lowered[Access].Ready; }
 
   /// Classifies the pair's subscripts and, when every dimension is a
   /// batchable constant-difference ZIV or separable strong SIV,
@@ -115,6 +99,11 @@ public:
                                 TestStats *Stats = nullptr) const;
 
 private:
+  /// Lowers one access into its Lowered entry; the constructor calls
+  /// it once per access.
+  void lowerAccess(unsigned Access,
+                   const std::set<std::string> *VaryingScalars);
+
   /// One pair lowered for testing: its subscripts and its context,
   /// either a cached per-access context or View, a view of one over
   /// Extra. The pair paths lower pair after pair into one per-thread
@@ -166,7 +155,6 @@ private:
 
   const std::vector<ArrayAccess> &Accesses;
   SymbolRangeMap Symbols;
-  const std::set<std::string> *VaryingScalars = nullptr;
   std::vector<LoweredAccess> Lowered;
 
   /// Memoized testDependence results. Distinct access pairs often

@@ -14,7 +14,6 @@
 #include "support/Casting.h"
 #include "support/EventLog.h"
 #include "support/FaultInjector.h"
-#include "support/JobGraph.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
@@ -22,9 +21,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <map>
-#include <numeric>
 
 using namespace pdt;
 
@@ -263,12 +260,7 @@ DependenceGraph DependenceGraph::build(const Program &P,
                  (Mode == BatchMode::On ||
                   (Mode == BatchMode::Auto && Pairs.size() >= MinPairsForPool));
 
-  // Deferred lowering lets the job graph lower each array's accesses
-  // as that bucket's pipeline starts instead of up front; the serial
-  // path keeps the eager order (and with it the exact legacy execution
-  // order under fault injection).
-  AccessLoweringCache Cache(G.Accesses, Symbols, &VaryingScalars,
-                            /*DeferLowering=*/Workers > 1);
+  AccessLoweringCache Cache(G.Accesses, Symbols, &VaryingScalars);
 
   std::vector<std::vector<Dependence>> PerPair(Pairs.size());
   // Last-resort containment: one poisoned pair (e.g. bad_alloc or an
@@ -285,23 +277,21 @@ DependenceGraph DependenceGraph::build(const Program &P,
           /*CountPair=*/false);
     }
   };
-  // One stripe: pairs Indices[First], Indices[First + Stride], ...,
-  // each lowered once and then either planned into the stripe's batch
-  // or tested on the scalar path from that same lowering. The batch is
-  // decided and materialized at the stripe's end. Every pair writes
-  // only its own PerPair slot and the stripe's stats sink.
-  auto RouteStripe = [&](const std::vector<size_t> &Indices, size_t First,
-                         size_t Stride, TestStats *WS) {
+  // One strided stripe per worker: stripe k takes pairs k, k+N, ... of
+  // the sorted list, so every stripe sees the same mix of cheap and
+  // expensive pairs. Each pair is lowered once and then either planned
+  // into the stripe's batch or tested on the scalar path from that same
+  // lowering; the batch is decided and materialized at the stripe's
+  // end. Every pair writes only its own PerPair slot and the stripe's
+  // statistics sink, merged after the run — TestStats merging is
+  // additive, so the merge order cannot matter.
+  std::vector<TestStats> StripeStats(Stats ? Workers : 0);
+  auto RouteStripe = [&](size_t Stripe, unsigned) {
+    TestStats *WS = Stats ? &StripeStats[Stripe] : nullptr;
     PairBatchPlan Plan;
-    for (size_t K = First; K < Indices.size(); K += Stride) {
-      size_t PairIdx = Indices[K];
+    for (size_t PairIdx = Stripe; PairIdx < Pairs.size(); PairIdx += Workers) {
       BuildBeat.beat();
       auto [I, J] = Pairs[PairIdx];
-      // A failed lowering job leaves its accesses unready; its
-      // exception is already propagating out of the build, so the
-      // pair's edges are never observed.
-      if (!Cache.isLowered(I) || !Cache.isLowered(J))
-        continue;
       // Budgets are enforced on the deterministic sorted pair order for
       // MaxPairs (so the degraded tail is identical across thread
       // counts); deadline degradation depends on wall time by nature.
@@ -331,61 +321,16 @@ DependenceGraph DependenceGraph::build(const Program &P,
       });
   };
 
-  // Per-stripe statistics sinks; a deque keeps addresses stable while
-  // jobs are still being added. Merged after the run — TestStats
-  // merging is additive, so the merge order cannot matter.
-  std::deque<TestStats> JobStats;
-  auto NewStats = [&]() -> TestStats * {
-    if (!Stats)
-      return nullptr;
-    return &JobStats.emplace_back();
-  };
-
+  // A lone stripe runs inline, without a pool.
   if (Workers == 1) {
-    std::vector<size_t> All(Pairs.size());
-    std::iota(All.begin(), All.end(), 0);
-    RouteStripe(All, 0, 1, NewStats());
+    RouteStripe(/*Stripe=*/0, /*Worker=*/0);
   } else {
-    // Pipelined schedule: per array bucket, a lowering job and then its
-    // stripe jobs on one shared pool. Buckets pipeline against each
-    // other — one array's stripes run while another is still lowering —
-    // and the emitted graph stays byte-identical to the serial build.
     ThreadPool Pool(Workers);
-    JobGraph Graph;
-    // Pair indices per bucket (Pairs is globally sorted, so a bucket's
-    // pair list is ascending, but buckets interleave).
-    std::map<std::string, std::vector<size_t>> BucketPairs;
-    for (size_t PairIdx = 0; PairIdx != Pairs.size(); ++PairIdx)
-      BucketPairs[G.Accesses[Pairs[PairIdx].first].Ref->getArrayName()]
-          .push_back(PairIdx);
-
-    for (auto &[Name, Members] : Buckets) {
-      auto PairsIt = BucketPairs.find(Name);
-      if (PairsIt == BucketPairs.end())
-        continue; // No testable pairs; nothing reads the lowerings.
-      const std::vector<size_t> &Indices = PairsIt->second;
-
-      const std::vector<unsigned> *BucketMembers = &Members;
-      JobGraph::JobId Lower = Graph.add([&Cache, BucketMembers] {
-        for (unsigned Access : *BucketMembers)
-          Cache.lowerAccess(Access);
-      });
-      // Stripe k takes the bucket's pairs k, k+N, k+2N, ...
-      size_t NumStripes = std::clamp<size_t>(Indices.size() / 64, 1, Workers);
-      for (size_t Stripe = 0; Stripe != NumStripes; ++Stripe) {
-        TestStats *StripeWS = NewStats();
-        Graph.add(
-            [&RouteStripe, &Indices, StripeWS, Stripe, NumStripes] {
-              RouteStripe(Indices, Stripe, NumStripes, StripeWS);
-            },
-            {Lower});
-      }
-    }
-    Graph.run(Pool);
+    Pool.parallelFor(Workers, RouteStripe);
   }
 
   if (Stats)
-    for (const TestStats &WS : JobStats)
+    for (const TestStats &WS : StripeStats)
       Stats->merge(WS);
   for (std::vector<Dependence> &Edges : PerPair)
     for (Dependence &D : Edges)

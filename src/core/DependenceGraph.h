@@ -67,13 +67,14 @@ public:
   ///
   /// Construction buckets accesses by array name (cross-array pairs
   /// are never enumerated), lowers every access once through an
-  /// AccessLoweringCache, and fans pair testing out over a
-  /// work-stealing thread pool of \p NumThreads workers (0 = the
-  /// PDT_THREADS environment variable, or hardware concurrency;
-  /// 1 = serial on the calling thread). The result is deterministic:
-  /// edges are emitted in the serial pair order and per-worker
-  /// statistics are merged into \p Stats, so every thread count
-  /// produces byte-identical graphs and equal counters.
+  /// AccessLoweringCache, and splits the sorted pair list into one
+  /// strided stripe per worker: \p NumThreads workers (0 = the
+  /// PDT_THREADS environment variable, or hardware concurrency), run
+  /// through ThreadPool::parallelFor, or inline on the calling thread
+  /// when there is one. The result is deterministic: edges are emitted
+  /// in the serial pair order and per-stripe statistics are merged
+  /// into \p Stats, so every thread count produces byte-identical
+  /// graphs and equal counters.
   ///
   /// \p Budget (optional) bounds the per-query resources: once the
   /// deadline expires or the pair cap is reached, remaining pairs are

@@ -47,9 +47,6 @@ bool pdt::batchingCompiledIn() { return true; }
 bool AccessLoweringCache::planBatchedPair(unsigned I, unsigned J,
                                           size_t PairIdx,
                                           PairBatchPlan &Plan) const {
-  // A failed lowering job's accesses (its exception is in flight).
-  if (!isLowered(I) || !isLowered(J))
-    return false;
   return planLoweredPair(I, J, PairIdx, lowerScratch(I, J), Plan);
 }
 

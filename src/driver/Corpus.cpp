@@ -7,11 +7,7 @@
 
 #include "driver/Corpus.h"
 
-#include "support/JobGraph.h"
-#include "support/ThreadPool.h"
-
 #include <algorithm>
-#include <deque>
 #include <map>
 
 using namespace pdt;
@@ -631,38 +627,4 @@ const CorpusKernel *pdt::findKernel(const std::string &Name) {
     if (K.Name == Name)
       return &K;
   return nullptr;
-}
-
-std::vector<CorpusSweepEntry> pdt::sweepCorpus(const AnalyzerOptions &Options,
-                                               unsigned NumThreads) {
-  const std::vector<CorpusKernel> &Kernels = corpus();
-  std::vector<CorpusSweepEntry> Entries(Kernels.size());
-  AnalyzerOptions PerKernel = Options;
-  PerKernel.NumThreads = 1;
-
-  unsigned Workers = ThreadPool::resolveThreadCount(NumThreads);
-  Workers = std::min<unsigned>(
-      Workers, static_cast<unsigned>(std::max<size_t>(Kernels.size(), 1)));
-  ThreadPool Pool(Workers);
-  JobGraph Graph;
-  std::deque<ParseResult> Parsed(Kernels.size());
-  for (size_t I = 0; I != Kernels.size(); ++I) {
-    Entries[I].Kernel = &Kernels[I];
-    JobGraph::JobId ParseJob = Graph.add(
-        [&Parsed, &Kernels, I] {
-          Parsed[I] = parseProgram(Kernels[I].Source, Kernels[I].Name);
-        });
-    Graph.add(
-        [&Parsed, &Entries, &PerKernel, I] {
-          ParseResult &P = Parsed[I];
-          if (!P.succeeded()) {
-            Entries[I].Result.Diagnostics = std::move(P.Diagnostics);
-            return;
-          }
-          Entries[I].Result = analyzeProgram(std::move(*P.Prog), PerKernel);
-        },
-        {ParseJob});
-  }
-  Graph.run(Pool);
-  return Entries;
 }

@@ -21,8 +21,6 @@
 #ifndef PDT_DRIVER_CORPUS_H
 #define PDT_DRIVER_CORPUS_H
 
-#include "driver/Analyzer.h"
-
 #include <string>
 #include <vector>
 
@@ -46,24 +44,6 @@ std::vector<const CorpusKernel *> kernelsInSuite(const std::string &Suite);
 
 /// Lookup by kernel name; null when absent.
 const CorpusKernel *findKernel(const std::string &Name);
-
-/// One kernel's analysis within a corpus sweep.
-struct CorpusSweepEntry {
-  const CorpusKernel *Kernel = nullptr;
-  AnalysisResult Result;
-};
-
-/// Analyzes the whole corpus as a parse -> analyze job pipeline over
-/// a shared worker pool (support/JobGraph.h): each kernel's parse and
-/// its analysis are separate dependency-ordered jobs, so one kernel's
-/// analysis overlaps another kernel's parse. \p NumThreads follows
-/// the AnalyzerOptions::NumThreads convention (0 = auto);
-/// \p Options.NumThreads itself is ignored — inside a sweep each
-/// per-kernel graph build runs serially, the parallelism is across
-/// kernels. Results are in corpus order and identical at any worker
-/// count.
-std::vector<CorpusSweepEntry> sweepCorpus(const AnalyzerOptions &Options = {},
-                                          unsigned NumThreads = 0);
 
 } // namespace pdt
 

@@ -126,8 +126,9 @@ std::string pdt::generateBatchHeavyProgramSource(std::mt19937_64 &Rng,
   std::string Src;
   for (unsigned N = 0; N != NumNests; ++N) {
     // Constant bounds keep every index range finite (the planner can
-    // prove exactness); a per-nest array keeps the pair buckets
-    // nest-local, which is the shape the job-graph pipeline overlaps.
+    // prove exactness); a per-nest array keeps every pair inside one
+    // nest, where its indices stay common (a cross-nest pair would
+    // rename them to ranged symbols, which the planner rejects).
     std::string A = "b" + std::to_string(N);
     bool ZIVNest = N % 5 == 4;
     bool CoupledNest = N % 11 == 10;

@@ -58,7 +58,7 @@ struct AccessRecord {
   uint64_t WallNs = 0;   ///< route + respond, as the server measured it.
   uint64_t QueueNs = 0;  ///< Admission-queue wait (0 after the first
                          ///< request of a keep-alive connection).
-  uint64_t AnalyzeNs = 0; ///< Inside the parse->analyze job graph.
+  uint64_t AnalyzeNs = 0; ///< Parsing and analyzing the kernels.
   uint64_t Analyses = 0;  ///< Kernels analyzed to completion.
   // Per-request TestStats deltas.
   uint64_t ReferencePairs = 0;

@@ -17,11 +17,9 @@
 #include "support/Env.h"
 #include "support/EventLog.h"
 #include "support/FlightRecorder.h"
-#include "support/JobGraph.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/RequestContext.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -54,9 +52,9 @@ const std::vector<int> &pdt::serve::allStatusCodes() {
 
 const std::vector<std::string> &pdt::serve::allEnvKnobs() {
   static const std::vector<std::string> Knobs = {
-      "PDT_SERVE_PORT",       "PDT_SERVE_THREADS",     "PDT_SERVE_QUEUE",
-      "PDT_SERVE_DEADLINE_MS", "PDT_SERVE_MAX_PAIRS",  "PDT_SERVE_JOB_THREADS",
-      "PDT_SERVE_MAX_BODY",   "PDT_SERVE_IDLE_MS",     "PDT_ACCESS_LOG",
+      "PDT_SERVE_PORT",        "PDT_SERVE_THREADS",  "PDT_SERVE_QUEUE",
+      "PDT_SERVE_DEADLINE_MS", "PDT_SERVE_MAX_PAIRS", "PDT_SERVE_MAX_BODY",
+      "PDT_SERVE_IDLE_MS",     "PDT_ACCESS_LOG",
   };
   return Knobs;
 }
@@ -482,7 +480,7 @@ struct Service::StatsCell {
 /// What route() hands back to handle() about the one request it just
 /// served, for the access line, the debug ring, and the journal event.
 struct Service::RouteTelemetry {
-  uint64_t AnalyzeNs = 0; ///< Inside the parse->analyze job graph.
+  uint64_t AnalyzeNs = 0; ///< Parsing and analyzing the kernels.
   uint64_t Analyses = 0;  ///< Kernels analyzed to completion.
   TestStats Delta;        ///< This request's TestStats contribution.
 };
@@ -531,8 +529,6 @@ ServiceLimits Service::limitsFromEnvironment() {
   if (std::optional<int64_t> V =
           envInt("PDT_SERVE_MAX_PAIRS", 0, 1000000000000))
     L.MaxPairs = static_cast<uint64_t>(*V);
-  if (std::optional<int64_t> V = envInt("PDT_SERVE_JOB_THREADS", 1, 64))
-    L.JobThreads = static_cast<unsigned>(*V);
   return L;
 }
 
@@ -571,8 +567,8 @@ HttpResponse Service::handle(const HttpRequest &Req) {
   CRequests.fetch_add(1, std::memory_order_relaxed);
 
   // Adopt the client's X-PDT-Request-Id (when well-formed) or mint one;
-  // the scope makes the ID visible to every span, journal line, flight
-  // slot, and JobGraph continuation this request runs.
+  // the scope makes the ID visible to every span, journal line, and
+  // flight slot this request produces.
   std::string Id;
   if (const std::string *H = Req.header("X-PDT-Request-Id");
       H && RequestContext::validId(*H))
@@ -801,33 +797,17 @@ HttpResponse Service::route(const HttpRequest &Req, RouteTelemetry &T) {
     return errorResponse(400, SpecError);
   }
 
-  // Run every kernel through the parse -> analyze job-graph pipeline
-  // (the per-request pool has JobThreads workers; 1 = serial on this
-  // thread).
+  // Parse and analyze every kernel in order on this connection worker:
+  // request parallelism comes from the server's worker threads.
   size_t N = Spec.Kernels.size();
-  std::deque<ParseResult> Parsed(N);
-  std::deque<AnalysisResult> Results(N);
-  ThreadPool Pool(std::max(1u, Limits.JobThreads));
-  JobGraph Graph;
-  for (size_t I = 0; I != N; ++I) {
-    if (!Spec.Kernels[I].Error.empty())
-      continue; // corpus-name resolution failed; rendered below
-    JobGraph::JobId ParseJob = Graph.add([&Parsed, &Spec, I] {
-      Parsed[I] = parseProgram(Spec.Kernels[I].Source, Spec.Kernels[I].Name);
-    });
-    Graph.add(
-        [&Parsed, &Results, &Spec, I] {
-          ParseResult &P = Parsed[I];
-          if (!P.succeeded()) {
-            Results[I].Diagnostics = std::move(P.Diagnostics);
-            return;
-          }
-          Results[I] = analyzeProgram(std::move(*P.Prog), Spec.Options);
-        },
-        {ParseJob});
-  }
+  std::vector<AnalysisResult> Results(N);
   int64_t AnalyzeT0 = Trace::nowNs();
-  Graph.run(Pool);
+  for (size_t I = 0; I != N; ++I) {
+    const KernelSpec &K = Spec.Kernels[I];
+    if (!K.Error.empty())
+      continue; // corpus-name resolution failed; rendered below
+    Results[I] = analyzeSource(K.Source, K.Name, Spec.Options);
+  }
   T.AnalyzeNs = static_cast<uint64_t>(Trace::nowNs() - AnalyzeT0);
 
   // Fold stats (global counters and this request's telemetry delta)

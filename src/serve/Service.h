@@ -32,16 +32,16 @@
 /// mints one from the process-wide sequence ("pdt-<n>"). The ID is
 /// echoed in the X-PDT-Request-Id response header of every response,
 /// stamped into error bodies as "request_id", propagated through the
-/// RequestContext scope into spans / journal lines / flight slots /
-/// JobGraph continuations, and written to the access log
-/// (serve/AccessLog.h) as the line's "id".
+/// RequestContext scope into spans / journal lines / flight slots,
+/// and written to the access log (serve/AccessLog.h) as the line's
+/// "id".
 ///
-/// Every analysis request runs as a parse -> analyze JobGraph pipeline
-/// (support/JobGraph.h) on a per-request pool of JobThreads workers
-/// (default 1: serial, deterministic, and contention-free — request
-/// parallelism comes from the server's worker threads). Per-request
-/// resource budgets reuse AnalyzerOptions::Budget: the request may
-/// lower, but never raise, the server's deadline and pair caps.
+/// An analysis request parses and analyzes its kernels in order on
+/// the connection worker that routes it, each graph build serial on
+/// that thread: request parallelism comes from the server's worker
+/// threads. Per-request resource budgets reuse
+/// AnalyzerOptions::Budget: the request may lower, but never raise,
+/// the server's deadline and pair caps.
 ///
 /// Determinism contract: for a fixed service configuration, the
 /// response body for an analysis request is a pure function of the
@@ -78,8 +78,6 @@ struct ServiceLimits {
   /// Default and maximum per-request pair cap
   /// (AnalyzerOptions::Budget.MaxPairs).
   uint64_t MaxPairs = 1000000;
-  /// Workers of the per-request parse->analyze job graph.
-  unsigned JobThreads = 1;
   /// Kernels accepted in one /v1/batch request.
   uint64_t MaxBatchKernels = 256;
 };
@@ -142,9 +140,8 @@ public:
   /// the last-N completed ones, oldest first. Exposed for tests.
   std::vector<RequestSummary> recentRequests() const;
 
-  /// ServiceLimits from PDT_SERVE_DEADLINE_MS, PDT_SERVE_MAX_PAIRS,
-  /// and PDT_SERVE_JOB_THREADS (hardened parsing, documented
-  /// defaults).
+  /// ServiceLimits from PDT_SERVE_DEADLINE_MS and PDT_SERVE_MAX_PAIRS
+  /// (hardened parsing, documented defaults).
   static ServiceLimits limitsFromEnvironment();
 
 private:

@@ -12,9 +12,9 @@
 /// reads at record time. A serving request adopts the client's
 /// X-PDT-Request-Id (or mints one from the process-wide sequence),
 /// opens a RequestContext::Scope, and from then on every pdt::Span,
-/// journal line, and flight-recorder slot produced on that thread —
-/// and, via JobGraph's continuation capture, on any worker thread the
-/// request fans out to — carries the originating request's ID.
+/// journal line, and flight-recorder slot produced on that thread
+/// carries the originating request's ID. The scope is per thread: a
+/// request analyzes its kernels on the thread that routes it.
 ///
 /// Tokens, not strings, flow through the hot paths: TraceEvent stores
 /// a 4-byte token; the string is resolved only at dump/render time

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The stall watchdog: long-running stages (DependenceGraph::build,
-/// JobGraph::run, the fuzz campaign) register a Heartbeat and beat it
+/// the fuzz campaign) register a Heartbeat and beat it
 /// as they make progress; a monitor thread samples the beats and —
 /// when a stage has been silent past a configurable multiple of its
 /// quiet interval (derived from the stage's budget deadline when one

@@ -5,7 +5,8 @@
 // (edges in the serial pair order), equal statistics, and the same
 // per-loop parallelism verdicts. Exercised on workload-generated
 // programs large enough that the thread pool actually distributes
-// work, and on the corpus for structural variety.
+// work, on a program with fewer pairs than workers, and on the corpus
+// for structural variety.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,20 +36,40 @@ AnalysisResult analyzeWithThreads(const std::string &Source,
   return R;
 }
 
+/// Nine tested pairs: fewer than the workers of a 16-thread build, so
+/// each of its stripes holds at most one pair.
+const char *NinePairProgram = "do i = 1, 60\n"
+                              "  do j = 1, 60\n"
+                              "    a(i+1, j) = a(i, j+1)\n"
+                              "    b(i, j) = b(i, j-1) + a(i, j)\n"
+                              "    c(2*i) = c(2*i+1)\n"
+                              "  end do\n"
+                              "end do\n"
+                              "do i = 1, 50\n"
+                              "  d(i+1, i) = d(i, i+1)\n"
+                              "end do\n";
+
 TEST(GraphDeterminismTest, WorkloadGraphsByteIdenticalAcrossThreadCounts) {
+  std::vector<std::string> Sources;
   for (uint64_t Seed : {1u, 7u, 42u}) {
     std::mt19937_64 Rng(Seed);
-    std::string Source = generateRandomProgramSource(Rng, /*NumNests=*/10,
-                                                     /*MaxDepth=*/3,
-                                                     /*StmtsPerNest=*/3);
+    Sources.push_back(generateRandomProgramSource(Rng, /*NumNests=*/10,
+                                                  /*MaxDepth=*/3,
+                                                  /*StmtsPerNest=*/3));
+  }
+  Sources.push_back(NinePairProgram);
+  EXPECT_EQ(analyzeWithThreads(NinePairProgram, 1).Stats.ReferencePairs, 9u);
+
+  for (size_t Input = 0; Input != Sources.size(); ++Input) {
+    const std::string &Source = Sources[Input];
     AnalysisResult Serial = analyzeWithThreads(Source, 1);
     ASSERT_FALSE(Serial.Graph.dependences().empty());
     std::string SerialReport = Serial.Graph.str();
 
-    for (unsigned Threads : {2u, 3u, 8u}) {
+    for (unsigned Threads : {2u, 3u, 8u, 16u}) {
       AnalysisResult Parallel = analyzeWithThreads(Source, Threads);
       EXPECT_EQ(Parallel.Graph.str(), SerialReport)
-          << "seed " << Seed << ", " << Threads << " threads";
+          << "input " << Input << ", " << Threads << " threads";
       EXPECT_EQ(Parallel.Stats, Serial.Stats);
       EXPECT_EQ(Parallel.Graph.dependences().size(),
                 Serial.Graph.dependences().size());

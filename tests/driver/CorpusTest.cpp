@@ -47,27 +47,6 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, CorpusKernelTest,
                          ::testing::Range(0u, static_cast<unsigned>(
                                                   corpus().size())));
 
-TEST(Corpus, SweepMatchesDirectAnalysisAtAnyWorkerCount) {
-  // The job-graph corpus sweep must reproduce the direct per-kernel
-  // pipeline exactly: same graphs, same stats, corpus order, at any
-  // worker count.
-  AnalyzerOptions Opt;
-  for (unsigned Workers : {1u, 4u}) {
-    std::vector<CorpusSweepEntry> Swept = sweepCorpus(Opt, Workers);
-    ASSERT_EQ(Swept.size(), corpus().size());
-    for (size_t I = 0; I != Swept.size(); ++I) {
-      ASSERT_EQ(Swept[I].Kernel, &corpus()[I]);
-      AnalysisResult Direct =
-          analyzeSource(corpus()[I].Source, corpus()[I].Name, Opt);
-      EXPECT_EQ(Swept[I].Result.Parsed, Direct.Parsed) << corpus()[I].Name;
-      EXPECT_EQ(Swept[I].Result.Graph.str(), Direct.Graph.str())
-          << corpus()[I].Name << " at " << Workers << " worker(s)";
-      EXPECT_TRUE(Swept[I].Result.Stats == Direct.Stats)
-          << corpus()[I].Name << " at " << Workers << " worker(s)";
-    }
-  }
-}
-
 TEST(Corpus, SuitesPresent) {
   std::vector<std::string> Suites = suiteNames();
   ASSERT_GE(Suites.size(), 7u);

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The per-request observability contract: request IDs adopted/minted
-// and echoed end to end, stamped into spans (across JobGraph
-// continuations onto pool workers), journal lines, and error bodies;
+// and echoed end to end, stamped into spans (the request's own and
+// the analysis spans it runs), journal lines, and error bodies;
 // the pdt-access-v1 access log's one-line-per-request accounting with
 // per-request TestStats deltas; the /v1/metricz Prometheus exposition
 // checked against a grammar; and the /v1/debug/* live endpoints. The
@@ -219,29 +219,26 @@ TEST(RequestObs, JournalEventsCarrySeqAndRequestId) {
   EXPECT_TRUE(Found) << "no serve/request journal event named demo-journal";
 }
 
-TEST(RequestObs, SpansCarryTheRequestIdAcrossJobGraphWorkers) {
+TEST(RequestObs, SpansCarryTheRequestIdIntoTheAnalysis) {
   ASSERT_TRUE(FlightRecorder::start());
-  ServiceLimits L;
-  L.JobThreads = 2; // parse/analyze jobs run on pool workers
-  Service S(L);
+  Service S;
   HttpResponse R = S.handle(
       makeRequest("POST", "/v1/analyze", "{\"corpus\":\"daxpy\"}",
                   "demo-spans"));
   ASSERT_EQ(R.Status, 200);
 
-  bool RequestSpan = false, WorkerSpan = false;
+  bool RequestSpan = false, AnalysisSpan = false;
   for (const TraceEvent &E : FlightRecorder::snapshot()) {
     if (RequestContext::idFor(E.Req) != "demo-spans")
       continue;
     if (std::string(E.Name) == "serve.request")
       RequestSpan = true;
     else
-      WorkerSpan = true; // an analysis-layer span on a pool worker
+      AnalysisSpan = true;
   }
   FlightRecorder::stop();
   EXPECT_TRUE(RequestSpan) << "the serve.request span lost its request ID";
-  EXPECT_TRUE(WorkerSpan)
-      << "no analysis span carried the ID across the JobGraph continuation";
+  EXPECT_TRUE(AnalysisSpan) << "no analysis span carried the request ID";
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,8 +9,9 @@
 // that names a deleted option would quietly configure the default
 // build. These checks keep CMakePresets.json and README.md in lockstep
 // with the option(PDT_...) declarations of the top-level CMakeLists.txt,
-// and keep every build and test preset pointing at a configure preset
-// and a documented environment.
+// keep every build and test preset pointing at a configure preset and
+// a documented environment, and keep README's environment table equal
+// to the PDT_* variables the code reads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <regex>
@@ -30,11 +32,15 @@ using namespace pdt;
 
 namespace {
 
-std::string readRepoFile(const std::string &Relative) {
-  std::ifstream In(std::string(PDT_REPO_ROOT) + "/" + Relative);
+std::string readFile(const std::filesystem::path &Path) {
+  std::ifstream In(Path);
   std::ostringstream Out;
   Out << In.rdbuf();
   return Out.str();
+}
+
+std::string readRepoFile(const std::string &Relative) {
+  return readFile(std::filesystem::path(PDT_REPO_ROOT) / Relative);
 }
 
 /// Capture group 1 of every match of \p Pattern in \p Text.
@@ -48,6 +54,11 @@ std::set<std::string> captures(const std::string &Text, const char *Pattern) {
 
 std::set<std::string> declaredOptions() {
   return captures(readRepoFile("CMakeLists.txt"), R"(\boption\((PDT_\w+))");
+}
+
+/// The variables of README's environment table, one per row.
+std::set<std::string> readmeEnvironmentTable() {
+  return captures(readRepoFile("README.md"), R"(\n\| `(PDT_\w+)=)");
 }
 
 json::Value presets() {
@@ -101,8 +112,7 @@ TEST(BuildConfigDocs, TestPresetEnvironmentIsDocumented) {
   // Every variable a test preset sets must be a knob of README's
   // environment table, so a misspelt one cannot silently run the
   // default configuration.
-  std::set<std::string> Documented =
-      captures(readRepoFile("README.md"), R"(\n\| `(PDT_\w+)=)");
+  std::set<std::string> Documented = readmeEnvironmentTable();
   ASSERT_FALSE(Documented.empty()) << "README.md has no environment table";
   for (const json::Value &Preset : presetsOf(presets(), "testPresets")) {
     const json::Value *Env = Preset.find("environment");
@@ -122,4 +132,21 @@ TEST(BuildConfigDocs, ReadmeNamesExactlyTheDeclaredOptions) {
   std::string Readme = readRepoFile("README.md");
   ASSERT_FALSE(Readme.empty()) << "README.md missing or unreadable";
   EXPECT_EQ(captures(Readme, R"(-D(PDT_\w+))"), Options);
+}
+
+TEST(BuildConfigDocs, ReadmeEnvironmentTableListsExactlyTheKnobsTheCodeReads) {
+  // A knob the code reads but README omits is undocumented; a row
+  // whose knob no code reads any more documents a deleted knob.
+  std::string Sources;
+  for (const char *Dir : {"src", "examples", "bench"})
+    for (const std::filesystem::directory_entry &Entry :
+         std::filesystem::recursive_directory_iterator(
+             std::filesystem::path(PDT_REPO_ROOT) / Dir))
+      if (Entry.is_regular_file() && (Entry.path().extension() == ".cpp" ||
+                                      Entry.path().extension() == ".h"))
+        Sources += readFile(Entry.path());
+  std::set<std::string> Read = captures(
+      Sources, R"re(\b(?:envInt|envPath|envChoice|getenv)\(\s*"(PDT_\w+)")re");
+  ASSERT_FALSE(Read.empty()) << "found no PDT_* environment read";
+  EXPECT_EQ(readmeEnvironmentTable(), Read);
 }
