@@ -103,6 +103,8 @@ std::optional<LinearExpr> combineOverCommonNest(const LoweredAccess &L,
   if (!Linear)
     return std::nullopt;
   auto IsRenamed = [&L, CommonDepth](std::string_view Name) {
+    if (CommonDepth == 0)
+      return true; // No common nest: every index is the side's own.
     std::optional<unsigned> Level = L.OwnCtx.levelOf(Name);
     return !Level || *Level >= CommonDepth;
   };

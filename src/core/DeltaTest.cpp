@@ -148,23 +148,44 @@ DirectionSet dirOfSign(int Sign) {
 DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
                               const LoopNestContext &Ctx, TestStats *Stats,
                               std::string *Trace) {
+  std::vector<LinearExpr> Equations;
+  Equations.reserve(Group.size());
+  std::vector<unsigned> Positions;
+  Positions.reserve(Group.size());
+  for (const SubscriptPair &P : Group) {
+    Positions.push_back(Equations.size());
+    Equations.push_back(P.equation());
+  }
+  return runDeltaTest(Group, Equations, Positions, Ctx, Stats, Trace);
+}
+
+DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Subscripts,
+                              std::span<const LinearExpr> Equations,
+                              std::span<const unsigned> Positions,
+                              const LoopNestContext &Ctx, TestStats *Stats,
+                              std::string *Trace) {
   DeltaResult Result;
   if (Stats) {
     Stats->noteApplication(TestKind::Delta);
     ++Stats->CoupledGroups;
   }
-  auto Log = [Trace](const std::string &S) {
+  // Trace lines are formatted only when a trace was asked for: \p Line
+  // is a callable returning the line.
+  auto Log = [Trace](auto &&Line) {
     if (Trace) {
-      *Trace += S;
+      *Trace += Line();
       *Trace += "\n";
     }
   };
 
   std::vector<EqState> Eqs;
-  Eqs.reserve(Group.size());
-  for (const SubscriptPair &P : Group) {
-    Eqs.push_back({P.equation(), false, false});
-    Log("subscript " + P.str() + "  =>  " + Eqs.back().Eq.str() + " = 0");
+  Eqs.reserve(Positions.size());
+  for (unsigned Pos : Positions) {
+    Eqs.push_back({Equations[Pos], false, false});
+    Log([&] {
+      return "subscript " + Subscripts[Pos].str() + "  =>  " +
+             Eqs.back().Eq.str() + " = 0";
+    });
   }
 
   std::map<std::string, Constraint> &Cons = Result.Constraints;
@@ -178,7 +199,7 @@ DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
     Result.Vectors.clear();
     if (Stats)
       Stats->noteIndependence(By);
-    Log(std::string("independent (") + testKindName(By) + ")");
+    Log([By] { return std::string("independent (") + testKindName(By) + ")"; });
     return Result;
   };
 
@@ -187,7 +208,7 @@ DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
   while (Changed && Result.Passes < MaxPasses) {
     Changed = false;
     ++Result.Passes;
-    Log("-- pass " + std::to_string(Result.Passes));
+    Log([&] { return "-- pass " + std::to_string(Result.Passes); });
 
     // Phase 1: exact single-subscript tests on everything testable.
     for (EqState &S : Eqs) {
@@ -200,8 +221,11 @@ DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
 
       if (Shape == SubscriptShape::RDIV) {
         SIVResult R = testRDIV(S.Eq, Ctx, Stats);
-        Log("  RDIV " + S.Eq.str() + ": verdict " +
-            (R.TheVerdict == Verdict::Independent ? "independent" : "maybe"));
+        Log([&] {
+          return "  RDIV " + S.Eq.str() + ": verdict " +
+                 (R.TheVerdict == Verdict::Independent ? "independent"
+                                                       : "maybe");
+        });
         if (R.TheVerdict == Verdict::Independent)
           return Independent(R.Test);
         // Left unresolved: constraint propagation or the RDIV pair
@@ -211,8 +235,10 @@ DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
 
       SIVResult R = Shape == SubscriptShape::ZIV ? testZIV(S.Eq, Ctx, Stats)
                                                  : testSIV(S.Eq, Ctx, Stats);
-      Log(std::string("  ") + testKindName(R.Test) + " on " + S.Eq.str() +
-          " = 0");
+      Log([&] {
+        return std::string("  ") + testKindName(R.Test) + " on " + S.Eq.str() +
+               " = 0";
+      });
       if (R.TheVerdict == Verdict::Independent)
         return Independent(R.Test);
       S.Resolved = true;
@@ -237,8 +263,10 @@ DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
           Cons.try_emplace(R.Index, Constraint::any()).first->second;
       Constraint Met = Slot.intersect(R.IndexConstraint);
       if (Met != Slot) {
-        Log("    constraint on " + R.Index + ": " + Slot.str() + "  ^  " +
-            R.IndexConstraint.str() + "  =  " + Met.str());
+        Log([&] {
+          return "    constraint on " + R.Index + ": " + Slot.str() + "  ^  " +
+                 R.IndexConstraint.str() + "  =  " + Met.str();
+        });
         Slot = Met;
         Changed = true;
       }
@@ -259,7 +287,9 @@ DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
         continue;
       LinearExpr New = propagateInto(S.Eq, Cons);
       if (New != S.Eq) {
-        Log("  propagate: " + S.Eq.str() + "  ->  " + New.str());
+        Log([&] {
+          return "  propagate: " + S.Eq.str() + "  ->  " + New.str();
+        });
         S.Eq = New;
         S.TestedCurrentForm = false;
       }
@@ -291,9 +321,11 @@ DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
         if (!LP || !LQ)
           continue;
         int64_t K = -(R1.Offset + R2.Offset);
-        Log("  RDIV pair on (" + R1.SrcIndex + ", " + R1.SinkIndex +
-            "): d_" + R1.SrcIndex + " + d_" + R1.SinkIndex + " = " +
-            std::to_string(K));
+        Log([&] {
+          return "  RDIV pair on (" + R1.SrcIndex + ", " + R1.SinkIndex +
+                 "): d_" + R1.SrcIndex + " + d_" + R1.SinkIndex + " = " +
+                 std::to_string(K);
+        });
         // Enumerate sign pairs (s1, s2) compatible with d1 + d2 = K.
         std::vector<DependenceVector> Set;
         for (int S1 : {1, 0, -1}) {
@@ -371,7 +403,7 @@ DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
     DependenceVector Filter(Ctx.depth());
     Filter.Directions[*Level] = II.Dirs;
     Filter.Distances[*Level] = II.Distance;
-    Vectors = intersectVectorSet(Vectors, Filter);
+    refineVectorSet(Vectors, Filter);
   }
   for (const auto &[Index, C] : Cons) {
     std::optional<unsigned> Level = Ctx.levelOf(Index);
@@ -388,23 +420,12 @@ DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
     } else {
       continue;
     }
-    Vectors = intersectVectorSet(Vectors, Filter);
+    refineVectorSet(Vectors, Filter);
   }
-  auto ApplySet = [&Vectors](const std::vector<DependenceVector> &Set) {
-    std::vector<DependenceVector> Out;
-    for (const DependenceVector &V : Vectors) {
-      for (const DependenceVector &F : Set) {
-        DependenceVector Combined = V.intersectWith(F);
-        if (!Combined.isEmpty())
-          Out.push_back(std::move(Combined));
-      }
-    }
-    Vectors = std::move(Out);
-  };
   for (const auto &Set : CorrelatedSets)
-    ApplySet(Set);
+    intersectVectorSets(Vectors, Set);
   for (const auto &Set : MIVSets)
-    ApplySet(Set);
+    intersectVectorSets(Vectors, Set);
 
   if (Vectors.empty())
     return Independent(TestKind::Delta);
@@ -412,14 +433,14 @@ DeltaResult pdt::runDeltaTest(const std::vector<SubscriptPair> &Group,
   Result.Vectors = std::move(Vectors);
   Result.Exact = AllExact;
   Result.TheVerdict = AllExact ? Verdict::Dependent : Verdict::Maybe;
-  if (Trace) {
+  Log([&] {
     std::string VS;
     for (const DependenceVector &V : Result.Vectors) {
       if (!VS.empty())
         VS += " ";
       VS += V.str();
     }
-    Log("result: " + VS);
-  }
+    return "result: " + VS;
+  });
   return Result;
 }

@@ -30,6 +30,7 @@
 #include "core/TestStats.h"
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,11 +63,23 @@ struct DeltaResult {
 /// Runs the Delta test on the coupled group \p Group (subscript pairs
 /// of one reference pair that share indices). \p Trace, when non-null,
 /// receives a human-readable step-by-step log (used by the Figure 3
-/// reproduction).
+/// reproduction); its lines are only formatted when it is given.
 DeltaResult runDeltaTest(const std::vector<SubscriptPair> &Group,
                          const LoopNestContext &Ctx,
                          TestStats *Stats = nullptr,
                          std::string *Trace = nullptr);
+
+/// The Delta test on the coupled group formed by the subscripts of
+/// \p Subscripts at \p Positions, over tagged equations the caller
+/// already built: \p Equations[P] is Subscripts[P].equation() for
+/// every P in \p Positions. The partition-based tester builds each
+/// subscript's equation once and hands its groups over this way; the
+/// overload above builds the equations of a whole group.
+DeltaResult runDeltaTest(const std::vector<SubscriptPair> &Subscripts,
+                         std::span<const LinearExpr> Equations,
+                         std::span<const unsigned> Positions,
+                         const LoopNestContext &Ctx, TestStats *Stats,
+                         std::string *Trace);
 
 } // namespace pdt
 

@@ -28,6 +28,8 @@ using namespace pdt;
 std::vector<OrientedVector> pdt::orientVectors(const DependenceVector &V) {
   std::vector<OrientedVector> Result;
   unsigned Depth = V.depth();
+  // At most a '<' and a '>' component per level plus the '=' one.
+  Result.reserve(2 * Depth + 1);
 
   // Walk an all-'=' prefix; at each level emit the '<' and '>'
   // components, and continue only while '=' remains possible.
@@ -111,7 +113,10 @@ std::vector<Dependence> emitEdges(const std::vector<ArrayAccess> &Accesses,
   // The common nest is a prefix of both loop stacks, so a carried
   // level indexes A's stack directly.
   for (const DependenceVector &V : R.Vectors) {
-    for (const OrientedVector &O : orientVectors(V)) {
+    std::vector<OrientedVector> Oriented = orientVectors(V);
+    if (Out.empty())
+      Out.reserve(Oriented.size());
+    for (const OrientedVector &O : Oriented) {
       Dependence D;
       D.Source = O.Reversed ? J : I;
       D.Sink = O.Reversed ? I : J;
@@ -332,6 +337,10 @@ DependenceGraph DependenceGraph::build(const Program &P,
   if (Stats)
     for (const TestStats &WS : StripeStats)
       Stats->merge(WS);
+  size_t NumEdges = 0;
+  for (const std::vector<Dependence> &Edges : PerPair)
+    NumEdges += Edges.size();
+  G.Edges.reserve(NumEdges);
   for (std::vector<Dependence> &Edges : PerPair)
     for (Dependence &D : Edges)
       G.Edges.push_back(std::move(D));

@@ -14,6 +14,7 @@
 #include "core/SIVTests.h"
 #include "support/Casting.h"
 #include "support/FaultInjector.h"
+#include "support/InlineVector.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
@@ -24,21 +25,6 @@
 using namespace pdt;
 
 namespace {
-
-/// Intersects a vector set with another set (cross product, dropping
-/// empty results).
-void applyVectorSet(std::vector<DependenceVector> &Vectors,
-                    const std::vector<DependenceVector> &Set) {
-  std::vector<DependenceVector> Out;
-  for (const DependenceVector &V : Vectors) {
-    for (const DependenceVector &F : Set) {
-      DependenceVector Combined = V.intersectWith(F);
-      if (!Combined.isEmpty())
-        Out.push_back(std::move(Combined));
-    }
-  }
-  Vectors = std::move(Out);
-}
 
 /// Harvests peel/split hints from one SIV result.
 void collectHints(const SIVResult &R, std::vector<TransformHint> &Hints) {
@@ -135,6 +121,20 @@ testDependenceImpl(const std::vector<SubscriptPair> &Subscripts,
   // Step 1: partition into separable subscripts and minimal coupled
   // groups.
   std::vector<SubscriptPartition> Partitions = partitionSubscripts(Subscripts);
+
+  // Each subscript's tagged dependence equation, built once for the
+  // class counters, the shape and the test. The counters classify every
+  // subscript up front; without them an equation is built when its
+  // partition is reached, as the tests need it.
+  std::vector<LinearExpr> Eqs(Subscripts.size());
+  InlineVector<bool, 8> Built(Subscripts.size(), false);
+  auto Equation = [&](unsigned Pos) -> const LinearExpr & {
+    if (!Built[Pos]) {
+      Eqs[Pos] = Subscripts[Pos].equation();
+      Built[Pos] = true;
+    }
+    return Eqs[Pos];
+  };
   if (Stats) {
     for (const SubscriptPartition &P : Partitions) {
       if (P.isSeparable())
@@ -142,8 +142,8 @@ testDependenceImpl(const std::vector<SubscriptPair> &Subscripts,
       else
         Stats->CoupledSubscripts += P.Positions.size();
     }
-    for (const SubscriptPair &S : Subscripts) {
-      switch (S.classify()) {
+    for (unsigned Pos = 0; Pos != Subscripts.size(); ++Pos) {
+      switch (classifyEquation(Equation(Pos))) {
       case SubscriptClass::ZIV:
         ++Stats->ZIVSubscripts;
         break;
@@ -194,14 +194,13 @@ testDependenceImpl(const std::vector<SubscriptPair> &Subscripts,
     BeginStep(P);
     if (!P.isSeparable()) {
       // Step 4: Delta test on the coupled group.
-      std::vector<SubscriptPair> Group;
-      Group.reserve(P.Positions.size());
       for (unsigned Pos : P.Positions)
-        Group.push_back(Subscripts[Pos]);
+        Equation(Pos);
       Span DeltaSpan("DeltaTest::run", "delta", testKindTag(TestKind::Delta));
       LatencyTimer DeltaLatency(Histo::DeltaNs);
       std::string DeltaLog;
-      DeltaResult D = runDeltaTest(Group, Ctx, Stats, Ex ? &DeltaLog : nullptr);
+      DeltaResult D = runDeltaTest(Subscripts, Eqs, P.Positions, Ctx, Stats,
+                                   Ex ? &DeltaLog : nullptr);
       if (Ex) {
         Step.Applied = D.DecidedBy;
         Step.StepVerdict = D.TheVerdict;
@@ -218,14 +217,13 @@ testDependenceImpl(const std::vector<SubscriptPair> &Subscripts,
         return Independent(D.DecidedBy);
       if (!D.Exact)
         AllExact = false;
-      applyVectorSet(Vectors, D.Vectors);
+      intersectVectorSets(Vectors, D.Vectors);
       continue;
     }
 
     // Steps 2-3: classify the separable subscript and apply the
     // matching single-subscript test.
-    const SubscriptPair &S = Subscripts[P.Positions.front()];
-    LinearExpr Eq = S.equation();
+    const LinearExpr &Eq = Equation(P.Positions.front());
     SubscriptShape Shape = shapeOfEquation(Eq);
     if (Ex) {
       Step.Shape = Shape;
@@ -256,7 +254,7 @@ testDependenceImpl(const std::vector<SubscriptPair> &Subscripts,
         DependenceVector Filter(Depth);
         Filter.Directions[*Level] = R.Directions;
         Filter.Distances[*Level] = R.Distance;
-        applyVectorSet(Vectors, {Filter});
+        refineVectorSet(Vectors, Filter);
       }
       break;
     }
@@ -280,7 +278,7 @@ testDependenceImpl(const std::vector<SubscriptPair> &Subscripts,
       if (M.TheVerdict == Verdict::Independent)
         return Independent(M.Test);
       if (!M.Vectors.empty())
-        applyVectorSet(Vectors, M.Vectors);
+        intersectVectorSets(Vectors, M.Vectors);
       break;
     }
     case SubscriptShape::GeneralMIV: {
@@ -290,7 +288,7 @@ testDependenceImpl(const std::vector<SubscriptPair> &Subscripts,
         return Independent(M.Test);
       AllExact = false; // Banerjee directions are conservative.
       if (!M.Vectors.empty())
-        applyVectorSet(Vectors, M.Vectors);
+        intersectVectorSets(Vectors, M.Vectors);
       break;
     }
     }

@@ -78,16 +78,32 @@ std::string DependenceVector::str() const {
   return S;
 }
 
-std::vector<DependenceVector>
-pdt::intersectVectorSet(const std::vector<DependenceVector> &Set,
-                        const DependenceVector &Filter) {
-  std::vector<DependenceVector> Result;
-  for (const DependenceVector &V : Set) {
+void pdt::refineVectorSet(std::vector<DependenceVector> &Set,
+                          const DependenceVector &Filter) {
+  size_t Kept = 0;
+  for (DependenceVector &V : Set) {
     DependenceVector Refined = V.intersectWith(Filter);
     if (!Refined.isEmpty())
-      Result.push_back(std::move(Refined));
+      Set[Kept++] = Refined;
   }
-  return Result;
+  Set.resize(Kept);
+}
+
+void pdt::intersectVectorSets(std::vector<DependenceVector> &Vectors,
+                              const std::vector<DependenceVector> &Set) {
+  if (Set.size() == 1) {
+    refineVectorSet(Vectors, Set.front());
+    return;
+  }
+  std::vector<DependenceVector> Out;
+  for (const DependenceVector &V : Vectors) {
+    for (const DependenceVector &F : Set) {
+      DependenceVector Combined = V.intersectWith(F);
+      if (!Combined.isEmpty())
+        Out.push_back(std::move(Combined));
+    }
+  }
+  Vectors = std::move(Out);
 }
 
 const char *pdt::testKindName(TestKind K) {

@@ -15,6 +15,8 @@
 #ifndef PDT_CORE_DEPENDENCETYPES_H
 #define PDT_CORE_DEPENDENCETYPES_H
 
+#include "support/InlineVector.h"
+
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -60,9 +62,14 @@ inline DirectionSet directionForDistance(int64_t Distance) {
 /// DependenceVector with multi-direction levels denotes the Cartesian
 /// product of its per-level sets; a result is a *set* of vectors when
 /// cross-level correlation matters (e.g. crossing dependences).
+///
+/// Both per-level arrays hold up to InlineLevels levels inside the
+/// vector, so a vector over a nest of at most that depth makes no heap
+/// allocation; deeper nests spill.
 struct DependenceVector {
-  std::vector<DirectionSet> Directions;
-  std::vector<std::optional<int64_t>> Distances;
+  static constexpr unsigned InlineLevels = 4;
+  InlineVector<DirectionSet, InlineLevels> Directions;
+  InlineVector<std::optional<int64_t>, InlineLevels> Distances;
 
   DependenceVector() = default;
 
@@ -100,11 +107,16 @@ struct DependenceVector {
   std::string str() const;
 };
 
-/// Refines a set of vectors by intersecting each with \p Filter and
-/// dropping the ones that become empty.
-std::vector<DependenceVector>
-intersectVectorSet(const std::vector<DependenceVector> &Set,
-                   const DependenceVector &Filter);
+/// Refines a set of vectors in place by intersecting each with
+/// \p Filter and dropping the ones that become empty.
+void refineVectorSet(std::vector<DependenceVector> &Set,
+                     const DependenceVector &Filter);
+
+/// Replaces \p Vectors by the non-empty intersections of each of its
+/// members with each member of \p Set, in that order (the merge of
+/// two partitions' results). A one-vector \p Set refines in place.
+void intersectVectorSets(std::vector<DependenceVector> &Vectors,
+                         const std::vector<DependenceVector> &Set);
 
 //===----------------------------------------------------------------------===//
 // Tests

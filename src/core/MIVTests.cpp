@@ -10,6 +10,7 @@
 #include "core/Subscript.h"
 #include "ir/LinearExpr.h"
 #include "support/Failure.h"
+#include "support/InlineVector.h"
 #include "support/MathExtras.h"
 #include "support/Trace.h"
 
@@ -122,76 +123,124 @@ Interval directedTermBounds(int64_t A, int64_t B, const Interval &Range,
   return Range.scale(A) + Range.scale(B);
 }
 
-/// Per-level coefficient pair of the tagged equation.
-struct LevelTerm {
-  int64_t SrcCoeff = 0;  ///< Coefficient of i (source occurrence).
-  int64_t SinkCoeff = 0; ///< Coefficient of i' (sink occurrence).
-  bool present() const { return SrcCoeff != 0 || SinkCoeff != 0; }
-};
-
-/// Splits the equation's index terms by nest level. Terms whose base
-/// index is not a level of the nest are treated as free symbols by the
-/// caller (they cannot be direction-constrained).
-std::vector<LevelTerm> levelTerms(const LinearExpr &Eq,
-                                  const LoopNestContext &Ctx) {
-  std::vector<LevelTerm> Terms(Ctx.depth());
-  for (const auto &[Name, Coeff] : Eq.indexTerms()) {
-    std::optional<unsigned> Level = Ctx.levelOf(baseName(Name));
-    if (!Level)
-      continue;
-    if (isSinkName(Name))
-      Terms[*Level].SinkCoeff = Coeff;
-    else
-      Terms[*Level].SrcCoeff = Coeff;
+/// The Banerjee bounds of one equation under direction-vector
+/// hypotheses. The direction-independent part (the constant plus the
+/// symbol ranges, and each level's coefficients and index range) is
+/// computed once; each level's term bound under one direction is
+/// computed the first time a hypothesis asks for it and reused after.
+/// bounds() sums in the order a from-scratch evaluation does (constant
+/// and symbols, then the levels outermost first, then index terms
+/// outside the nest) and reaches each term no earlier than it would,
+/// so saturating sums and overflow raise points are those of
+/// evaluating every hypothesis from scratch.
+class BanerjeeEvaluator {
+public:
+  BanerjeeEvaluator(const LinearExpr &Eq, const LoopNestContext &Ctx)
+      : Eq(Eq), Ctx(Ctx), Levels(Ctx.depth()) {
+    Base = Interval::point(Eq.getConstant());
+    for (const auto &[Name, Coeff] : Eq.symbolTerms()) {
+      const Interval *Range = Ctx.symbolRange(Name);
+      Interval R = Range ? *Range : Interval::full();
+      Base = Base + R.scale(Coeff);
+    }
+    // Index terms whose base index is not a level of the nest cannot
+    // be direction-constrained; they are summed last.
+    for (const auto &[Name, Coeff] : Eq.indexTerms()) {
+      std::optional<unsigned> Level = Ctx.levelOf(baseName(Name));
+      if (!Level) {
+        HasFreeIndices = true;
+        continue;
+      }
+      if (isSinkName(Name))
+        Levels[*Level].SinkCoeff = Coeff;
+      else
+        Levels[*Level].SrcCoeff = Coeff;
+    }
+    for (unsigned L = 0; L != Levels.size(); ++L)
+      Levels[L].Range = Ctx.indexRange(Ctx.loop(L).Index);
   }
-  return Terms;
-}
+
+  /// True when level \p L's index occurs in the equation.
+  bool present(unsigned L) const { return Levels[L].present(); }
+
+  /// Value bounds under \p Dirs, one direction set per level; the
+  /// empty interval when the hypothesis itself is infeasible.
+  Interval bounds(const DirectionSet *Dirs) {
+    Interval Total = Base;
+    for (unsigned L = 0; L != Levels.size(); ++L) {
+      LevelTerm &T = Levels[L];
+      const Interval &R = T.Range;
+      if (!T.present()) {
+        // The level only matters for feasibility of its direction.
+        if (Dirs[L] == DirNone)
+          return Interval::empty();
+        if ((Dirs[L] == DirLT || Dirs[L] == DirGT)) {
+          std::optional<int64_t> Size = R.size();
+          if (Size && *Size < 2)
+            return Interval::empty();
+        }
+        if (R.isEmpty())
+          return Interval::empty();
+        continue;
+      }
+      const Interval &Term = T.term(Dirs[L]);
+      if (Term.isEmpty())
+        return Interval::empty();
+      Total = Total + Term;
+    }
+
+    // Index variables that are not levels of this nest (e.g. indices
+    // of loops enclosing only one reference were renamed to symbols
+    // before testing; reaching here with one is a driver bug).
+    if (HasFreeIndices)
+      for (const auto &[Name, Coeff] : Eq.indexTerms()) {
+        if (!Ctx.levelOf(baseName(Name))) {
+          Interval R = Ctx.indexRange(baseName(Name)); // Full interval.
+          Total = Total + R.scale(Coeff);
+        }
+      }
+    return Total;
+  }
+
+private:
+  /// One level's coefficient pair in the tagged equation, its index
+  /// range, and its term bounds by direction: '<', '=', '>', and any
+  /// other set (bounded over the full box).
+  struct LevelTerm {
+    int64_t SrcCoeff = 0;  ///< Coefficient of i (source occurrence).
+    int64_t SinkCoeff = 0; ///< Coefficient of i' (sink occurrence).
+    Interval Range;
+    Interval Terms[4];
+    uint8_t Known = 0; ///< Bit k set: Terms[k] is computed.
+
+    bool present() const { return SrcCoeff != 0 || SinkCoeff != 0; }
+
+    const Interval &term(DirectionSet Dir) {
+      unsigned Slot = Dir == DirLT   ? 0
+                      : Dir == DirEQ ? 1
+                      : Dir == DirGT ? 2
+                                     : 3;
+      if (!(Known & (1u << Slot))) {
+        Terms[Slot] = directedTermBounds(SrcCoeff, SinkCoeff, Range, Dir);
+        Known |= 1u << Slot;
+      }
+      return Terms[Slot];
+    }
+  };
+
+  const LinearExpr &Eq;
+  const LoopNestContext &Ctx;
+  Interval Base;
+  InlineVector<LevelTerm, DependenceVector::InlineLevels> Levels;
+  bool HasFreeIndices = false;
+};
 
 } // namespace
 
 Interval pdt::banerjeeBounds(const LinearExpr &Eq, const LoopNestContext &Ctx,
                              const std::vector<DirectionSet> &Dirs) {
   assert(Dirs.size() == Ctx.depth() && "direction vector depth mismatch");
-  Interval Total = Interval::point(Eq.getConstant());
-  for (const auto &[Name, Coeff] : Eq.symbolTerms()) {
-    const Interval *Range = Ctx.symbolRange(Name);
-    Interval R = Range ? *Range : Interval::full();
-    Total = Total + R.scale(Coeff);
-  }
-
-  std::vector<LevelTerm> Terms = levelTerms(Eq, Ctx);
-  for (unsigned L = 0; L != Ctx.depth(); ++L) {
-    Interval R = Ctx.indexRange(Ctx.loop(L).Index);
-    if (!Terms[L].present()) {
-      // The level only matters for feasibility of its direction.
-      if (Dirs[L] == DirNone)
-        return Interval::empty();
-      if ((Dirs[L] == DirLT || Dirs[L] == DirGT)) {
-        std::optional<int64_t> Size = R.size();
-        if (Size && *Size < 2)
-          return Interval::empty();
-      }
-      if (R.isEmpty())
-        return Interval::empty();
-      continue;
-    }
-    Interval T = directedTermBounds(Terms[L].SrcCoeff, Terms[L].SinkCoeff, R,
-                                    Dirs[L]);
-    if (T.isEmpty())
-      return Interval::empty();
-    Total = Total + T;
-  }
-
-  // Index variables that are not levels of this nest (e.g. indices of
-  // loops enclosing only one reference were renamed to symbols before
-  // testing; reaching here with one is a driver bug).
-  for (const auto &[Name, Coeff] : Eq.indexTerms()) {
-    if (!Ctx.levelOf(baseName(Name))) {
-      Interval R = Ctx.indexRange(baseName(Name)); // Full interval.
-      Total = Total + R.scale(Coeff);
-    }
-  }
-  return Total;
+  return BanerjeeEvaluator(Eq, Ctx).bounds(Dirs.data());
 }
 
 //===----------------------------------------------------------------------===//
@@ -208,14 +257,14 @@ MIVResult pdt::testBanerjee(const LinearExpr &Eq, const LoopNestContext &Ctx,
     Stats->noteApplication(TestKind::Banerjee);
 
   unsigned Depth = Ctx.depth();
-  std::vector<DirectionSet> Dirs(Depth, DirAll);
+  DependenceVector Dirs(Depth);
+  BanerjeeEvaluator Bounds(Eq, Ctx);
 
   // Only levels whose index occurs in the equation are worth refining:
   // the others contribute nothing to the bounds and stay '*'.
-  std::vector<LevelTerm> Terms = levelTerms(Eq, Ctx);
-  std::vector<unsigned> RefineLevels;
+  InlineVector<unsigned, DependenceVector::InlineLevels> RefineLevels;
   for (unsigned L = 0; L != Depth; ++L)
-    if (Terms[L].present())
+    if (Bounds.present(L))
       RefineLevels.push_back(L);
 
   bool SawFeasible = false;
@@ -224,24 +273,21 @@ MIVResult pdt::testBanerjee(const LinearExpr &Eq, const LoopNestContext &Ctx,
   // Depth-first refinement: prune a subtree as soon as zero falls
   // outside the Banerjee bounds for its (partially refined) vector.
   auto Refine = [&](auto &&Self, unsigned Pos) -> void {
-    Interval B = banerjeeBounds(Eq, Ctx, Dirs);
+    Interval B = Bounds.bounds(Dirs.Directions.data());
     if (B.isEmpty() || !B.contains(0))
       return;
     if (Pos == RefineLevels.size()) {
       SawFeasible = true;
-      DependenceVector V(Depth);
-      for (unsigned L = 0; L != Depth; ++L)
-        V.Directions[L] = Dirs[L];
-      Survivors.push_back(std::move(V));
+      Survivors.push_back(Dirs);
       return;
     }
     unsigned Level = RefineLevels[Pos];
     for (DirectionSet D : {DirectionSet(DirLT), DirectionSet(DirEQ),
                            DirectionSet(DirGT)}) {
-      Dirs[Level] = D;
+      Dirs.Directions[Level] = D;
       Self(Self, Pos + 1);
     }
-    Dirs[Level] = DirAll;
+    Dirs.Directions[Level] = DirAll;
   };
   Refine(Refine, 0);
 

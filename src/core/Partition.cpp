@@ -7,14 +7,16 @@
 
 #include "core/Partition.h"
 
-#include <map>
+#include "support/InlineVector.h"
+
 #include <numeric>
 
 using namespace pdt;
 
 namespace {
 
-/// Minimal union-find over subscript positions.
+/// Minimal union-find over subscript positions, inline for pairs of up
+/// to eight subscripts.
 class UnionFind {
 public:
   explicit UnionFind(unsigned N) : Parent(N) {
@@ -36,10 +38,22 @@ public:
   }
 
 private:
-  std::vector<unsigned> Parent;
+  InlineVector<unsigned, 8> Parent;
 };
 
 } // namespace
+
+/// True when \p A and \p B share an index name. Both sides of a
+/// subscript pair are written over untagged names.
+static bool sharesIndex(const SubscriptPair &A, const SubscriptPair &B) {
+  for (const LinearExpr *EA : {&A.Src, &A.Dst})
+    for (const auto &[NameA, CoeffA] : EA->indexTerms())
+      for (const LinearExpr *EB : {&B.Src, &B.Dst})
+        for (const auto &[NameB, CoeffB] : EB->indexTerms())
+          if (NameA == NameB)
+            return true;
+  return false;
+}
 
 std::vector<SubscriptPartition>
 pdt::partitionSubscripts(const std::vector<SubscriptPair> &Subscripts) {
@@ -47,28 +61,23 @@ pdt::partitionSubscripts(const std::vector<SubscriptPair> &Subscripts) {
   UnionFind UF(N);
 
   // Any two subscripts that mention the same index belong to the same
-  // partition; track the first position seen per index.
-  std::map<std::string, unsigned> FirstUse;
-  for (unsigned I = 0; I != N; ++I) {
-    for (const std::string &Index : Subscripts[I].indices()) {
-      auto [It, Inserted] = FirstUse.try_emplace(Index, I);
-      if (!Inserted)
-        UF.merge(It->second, I);
-    }
-  }
+  // partition. Pairs have a handful of subscripts of a few terms each,
+  // so comparing every pair of names beats building a name index.
+  for (unsigned I = 0; I != N; ++I)
+    for (unsigned J = 0; J != I; ++J)
+      if (UF.find(J) != UF.find(I) &&
+          sharesIndex(Subscripts[J], Subscripts[I]))
+        UF.merge(J, I);
 
-  // Gather partitions keyed by representative, in first-position order.
-  std::map<unsigned, SubscriptPartition> ByRep;
-  for (unsigned I = 0; I != N; ++I) {
-    SubscriptPartition &P = ByRep[UF.find(I)];
-    P.Positions.push_back(I);
-    for (const std::string &Index : Subscripts[I].indices())
-      P.Indices.insert(Index);
-  }
-
-  std::vector<SubscriptPartition> Result;
-  Result.reserve(ByRep.size());
-  for (auto &[Rep, P] : ByRep)
-    Result.push_back(std::move(P));
+  // A partition's representative is its first position, so partitions
+  // come out in first-position order.
+  InlineVector<unsigned, 8> PartitionOf(N);
+  unsigned NumPartitions = 0;
+  for (unsigned I = 0; I != N; ++I)
+    if (UF.find(I) == I)
+      PartitionOf[I] = NumPartitions++;
+  std::vector<SubscriptPartition> Result(NumPartitions);
+  for (unsigned I = 0; I != N; ++I)
+    Result[PartitionOf[UF.find(I)]].Positions.push_back(I);
   return Result;
 }

@@ -11,7 +11,8 @@
 /// of section 3). Two subscripts are coupled when they share a loop
 /// index; a coupled group is minimal when it cannot be split into
 /// subgroups with disjoint index sets. Implemented with a union-find
-/// over subscript positions keyed by shared indices.
+/// over subscript positions; index names are compared in place, as
+/// views into the subscripts' terms.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +26,9 @@
 namespace pdt {
 
 /// One partition: the subscript positions it contains (indices into
-/// the original subscript vector) and the union of loop indices they
-/// reference.
+/// the original subscript vector), in increasing order.
 struct SubscriptPartition {
   std::vector<unsigned> Positions;
-  std::set<std::string> Indices;
 
   bool isSeparable() const { return Positions.size() == 1; }
 };

@@ -7,14 +7,15 @@
 
 #include "core/ResultStore.h"
 
+#include "support/InlineVector.h"
 #include "support/MathExtras.h"
 #include "support/Metrics.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <mutex>
+#include <span>
 
 using namespace pdt;
 
@@ -23,6 +24,32 @@ using namespace pdt;
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// Appends the decimal form of \p V (what std::to_string prints).
+template <typename Int> void appendInt(std::string &Out, Int V) {
+  char Buf[24];
+  std::to_chars_result R = std::to_chars(Buf, Buf + sizeof(Buf), V);
+  Out.append(Buf, R.ptr);
+}
+
+/// Position of \p Name in \p Names, or nullopt.
+std::optional<unsigned> positionOf(std::span<const std::string> Names,
+                                   std::string_view Name) {
+  for (unsigned I = 0; I != Names.size(); ++I)
+    if (Names[I] == Name)
+      return I;
+  return std::nullopt;
+}
+
+/// One term in canonical coordinates: a level or a symbol slot.
+struct CanonicalTerm {
+  unsigned Ref;
+  int64_t Coeff;
+  bool operator<(const CanonicalTerm &O) const {
+    return Ref != O.Ref ? Ref < O.Ref : Coeff < O.Coeff;
+  }
+};
+using CanonicalTerms = InlineVector<CanonicalTerm, LinearExpr::InlineTerms>;
 
 /// Serializes \p E in canonical coordinates into \p Out:
 /// "<const>" then "+%<level>*<coeff>" index terms (by level) and
@@ -33,23 +60,21 @@ namespace {
 /// lookup side cannot have). Returns false on any unmappable name or
 /// overflow — the caller abandons the store for this pair/record.
 bool serializeExpr(const LinearExpr &E, int64_t ExtraConst, bool AssignSlots,
-                   const std::map<std::string, unsigned, std::less<>> &LevelOf,
                    CanonicalPair &C, std::string &Out) {
   int64_t Const = E.getConstant();
-  std::vector<std::pair<unsigned, int64_t>> Idx;
-  Idx.reserve(E.indexTerms().size());
+  CanonicalTerms Idx;
   for (const auto &[Name, Coeff] : E.indexTerms()) {
-    auto It = LevelOf.find(Name);
-    if (It == LevelOf.end())
+    std::optional<unsigned> Level = positionOf(C.LevelIndex, Name);
+    if (!Level)
       return false;
-    std::optional<int64_t> Scaled = checkedMul(Coeff, C.Shift[It->second]);
+    std::optional<int64_t> Scaled = checkedMul(Coeff, C.Shift[*Level]);
     if (!Scaled)
       return false;
     std::optional<int64_t> Sum = checkedAdd(Const, *Scaled);
     if (!Sum)
       return false;
     Const = *Sum;
-    Idx.emplace_back(It->second, Coeff);
+    Idx.push_back({*Level, Coeff});
   }
   std::optional<int64_t> Final = checkedAdd(Const, ExtraConst);
   if (!Final)
@@ -57,36 +82,31 @@ bool serializeExpr(const LinearExpr &E, int64_t ExtraConst, bool AssignSlots,
   Const = *Final;
   std::sort(Idx.begin(), Idx.end());
 
-  std::vector<std::pair<unsigned, int64_t>> Sym;
-  Sym.reserve(E.symbolTerms().size());
+  CanonicalTerms Sym;
   for (const auto &[Name, Coeff] : E.symbolTerms()) {
-    auto It = C.SymbolSlot.find(Name);
-    unsigned Slot;
-    if (It != C.SymbolSlot.end()) {
-      Slot = It->second;
-    } else if (AssignSlots) {
+    std::optional<unsigned> Slot = positionOf(C.SlotSymbol, Name);
+    if (!Slot) {
+      if (!AssignSlots)
+        return false;
       Slot = static_cast<unsigned>(C.SlotSymbol.size());
-      C.SymbolSlot.emplace(std::string(Name), Slot);
       C.SlotSymbol.emplace_back(Name);
-    } else {
-      return false;
     }
-    Sym.emplace_back(Slot, Coeff);
+    Sym.push_back({*Slot, Coeff});
   }
   std::sort(Sym.begin(), Sym.end());
 
-  Out += std::to_string(Const);
-  for (const auto &[Level, Coeff] : Idx) {
+  appendInt(Out, Const);
+  for (const CanonicalTerm &T : Idx) {
     Out += "+%";
-    Out += std::to_string(Level);
+    appendInt(Out, T.Ref);
     Out += '*';
-    Out += std::to_string(Coeff);
+    appendInt(Out, T.Coeff);
   }
-  for (const auto &[Slot, Coeff] : Sym) {
+  for (const CanonicalTerm &T : Sym) {
     Out += "+$";
-    Out += std::to_string(Slot);
+    appendInt(Out, T.Ref);
     Out += '*';
-    Out += std::to_string(Coeff);
+    appendInt(Out, T.Coeff);
   }
   return true;
 }
@@ -98,12 +118,16 @@ ResultStore::canonicalize(const std::vector<SubscriptPair> &Subscripts,
                           const LoopNestContext &Ctx) {
   CanonicalPair C;
   std::span<const LoopBounds> Loops = Ctx.loops();
-  std::map<std::string, unsigned, std::less<>> LevelOf;
   C.LevelIndex.reserve(Loops.size());
   C.Shift.reserve(Loops.size());
-  for (unsigned Level = 0; Level != Loops.size(); ++Level) {
-    const LoopBounds &L = Loops[Level];
-    if (!LevelOf.emplace(L.Index, Level).second)
+  size_t MaxSymbols = 0;
+  for (const SubscriptPair &S : Subscripts)
+    MaxSymbols += S.Src.symbolTerms().size() + S.Dst.symbolTerms().size();
+  for (const LoopBounds &L : Loops)
+    MaxSymbols += L.Lower.symbolTerms().size() + L.Upper.symbolTerms().size();
+  C.SlotSymbol.reserve(MaxSymbols);
+  for (const LoopBounds &L : Loops) {
+    if (positionOf(C.LevelIndex, L.Index))
       return std::nullopt; // Duplicate index name: refuse to rename.
     C.LevelIndex.push_back(L.Index);
     // Normalize only levels whose lower bound is a literal integer:
@@ -113,16 +137,18 @@ ResultStore::canonicalize(const std::vector<SubscriptPair> &Subscripts,
     C.Shift.push_back(Shiftable ? L.Lower.getConstant() : 0);
   }
 
-  std::string Key;
-  Key.reserve(128);
+  // Built in a per-thread buffer that keeps its capacity, then copied
+  // out at its final length.
+  thread_local std::string Key;
+  Key.clear();
   for (const SubscriptPair &S : Subscripts) {
-    if (!serializeExpr(S.Src, 0, true, LevelOf, C, Key))
+    if (!serializeExpr(S.Src, 0, true, C, Key))
       return std::nullopt;
     Key += '=';
-    if (!serializeExpr(S.Dst, 0, true, LevelOf, C, Key))
+    if (!serializeExpr(S.Dst, 0, true, C, Key))
       return std::nullopt;
     Key += '@';
-    Key += std::to_string(S.Dim);
+    appendInt(Key, S.Dim);
     Key += ';';
   }
   Key += '|';
@@ -133,27 +159,27 @@ ResultStore::canonicalize(const std::vector<SubscriptPair> &Subscripts,
       std::optional<int64_t> NegShift = checkedSub(0, C.Shift[Level]);
       if (!NegShift)
         return std::nullopt;
-      if (!serializeExpr(L.Lower, *NegShift, true, LevelOf, C, Key))
+      if (!serializeExpr(L.Lower, *NegShift, true, C, Key))
         return std::nullopt;
       Key += ',';
-      if (!serializeExpr(L.Upper, *NegShift, true, LevelOf, C, Key))
+      if (!serializeExpr(L.Upper, *NegShift, true, C, Key))
         return std::nullopt;
     } else {
       Key += '?';
     }
     Key += ',';
-    Key += std::to_string(L.Step);
+    appendInt(Key, L.Step);
     Key += ';';
   }
   // Assumed ranges of exactly the symbols the content mentions, in
   // slot order. Unmentioned symbols cannot influence the result.
   Key += '|';
-  for (unsigned Slot = 0; Slot != C.SlotSymbol.size(); ++Slot) {
-    const Interval *Range = Ctx.symbolRange(C.SlotSymbol[Slot]);
+  for (const std::string &Symbol : C.SlotSymbol) {
+    const Interval *Range = Ctx.symbolRange(Symbol);
     Key += Range ? Range->str() : std::string("?");
     Key += ';';
   }
-  C.Key = std::move(Key);
+  C.Key = Key;
   return C;
 }
 
@@ -170,7 +196,7 @@ constexpr char ValueTag = 'r';
 
 void serializeStats(const TestStats &S, std::string &Out) {
   auto Num = [&Out](uint64_t V) {
-    Out += std::to_string(V);
+    appendInt(Out, V);
     Out += ',';
   };
   for (uint64_t V : S.Applications)
@@ -227,10 +253,10 @@ struct Cursor {
       Ok = false;
       return 0;
     }
-    errno = 0;
-    char *End = nullptr;
-    long long V = std::strtoll(Buf.c_str() + Start, &End, 10);
-    if (errno == ERANGE || End != Buf.c_str() + Pos) {
+    int64_t V = 0;
+    std::from_chars_result R =
+        std::from_chars(Buf.data() + Start, Buf.data() + Pos, V);
+    if (R.ec != std::errc() || R.ptr != Buf.data() + Pos) {
       Ok = false;
       return 0;
     }
@@ -274,9 +300,8 @@ bool parseStats(Cursor &C, TestStats &S) {
 }
 
 /// A hint's symbolic crossing sum in canonical coordinates.
-bool serializeSumExpr(const LinearExpr &E, int64_t Shift,
-                      const std::map<std::string, unsigned, std::less<>> &LevelOf,
-                      CanonicalPair &C, std::string &Out) {
+bool serializeSumExpr(const LinearExpr &E, int64_t Shift, CanonicalPair &C,
+                      std::string &Out) {
   // Crossing sum i + i" shifts by -2L when the level shifts by L.
   std::optional<int64_t> Twice = checkedMul(Shift, -2);
   if (!Twice)
@@ -284,16 +309,12 @@ bool serializeSumExpr(const LinearExpr &E, int64_t Shift,
   // Slots are frozen at canonicalize() time: the lookup side derives
   // the same slots from content alone, so dehydration must not extend
   // them.
-  return serializeExpr(E, *Twice, false, LevelOf, C, Out);
+  return serializeExpr(E, *Twice, false, C, Out);
 }
 
 std::optional<std::string> serializeValue(const CanonicalPair &C,
                                           const DependenceTestResult &R,
                                           const TestStats &Delta) {
-  std::map<std::string, unsigned, std::less<>> LevelOf;
-  for (unsigned Level = 0; Level != C.LevelIndex.size(); ++Level)
-    LevelOf.emplace(C.LevelIndex[Level], Level);
-
   std::string V;
   V += ValueTag;
   V += std::to_string(static_cast<int>(R.TheVerdict));
@@ -316,14 +337,13 @@ std::optional<std::string> serializeValue(const CanonicalPair &C,
   }
   V += '|';
   for (const TransformHint &H : R.Hints) {
-    auto It = LevelOf.find(H.Index);
-    if (It == LevelOf.end())
+    std::optional<unsigned> Level = positionOf(C.LevelIndex, H.Index);
+    if (!Level)
       return std::nullopt; // Hint mentions a name outside the nest.
-    unsigned Level = It->second;
-    int64_t Shift = C.Shift[Level];
+    int64_t Shift = C.Shift[*Level];
     V += std::to_string(static_cast<int>(H.TheKind));
     V += ',';
-    V += std::to_string(Level);
+    V += std::to_string(*Level);
     V += ',';
     if (H.CrossingPoint) {
       // Crossing iteration p sits at p - L in canonical coordinates.
@@ -345,7 +365,7 @@ std::optional<std::string> serializeValue(const CanonicalPair &C,
     if (H.SymbolicCrossingSum) {
       // serializeSumExpr never assigns slots, so the const_cast'd
       // CanonicalPair is not actually mutated.
-      if (!serializeSumExpr(*H.SymbolicCrossingSum, Shift, LevelOf,
+      if (!serializeSumExpr(*H.SymbolicCrossingSum, Shift,
                             const_cast<CanonicalPair &>(C), V))
         return std::nullopt;
     } else {

@@ -70,7 +70,6 @@
 #include "core/TestStats.h"
 #include "support/Store.h"
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -90,8 +89,6 @@ struct CanonicalPair {
   std::vector<int64_t> Shift;
   /// Symbol slot -> original symbol name.
   std::vector<std::string> SlotSymbol;
-  /// Original symbol name -> slot.
-  std::map<std::string, unsigned, std::less<>> SymbolSlot;
 };
 
 /// The persistent result cache over one store directory. Thread-safe;

@@ -63,13 +63,6 @@ SubscriptShape SubscriptPair::shape() const {
   return shapeOfEquation(equation());
 }
 
-std::set<std::string> pdt::equationIndices(const LinearExpr &Eq) {
-  std::set<std::string> Names;
-  for (const auto &[Name, Coeff] : Eq.indexTerms())
-    Names.emplace(baseName(Name));
-  return Names;
-}
-
 /// Number of distinct untagged indices in \p Eq, without building the
 /// name set.
 static size_t numEquationIndices(const LinearExpr &Eq) {

@@ -107,9 +107,6 @@ struct SubscriptPair {
 SubscriptClass classifyEquation(const LinearExpr &Eq);
 SubscriptShape shapeOfEquation(const LinearExpr &Eq);
 
-/// Distinct untagged index names in a tagged equation.
-std::set<std::string> equationIndices(const LinearExpr &Eq);
-
 } // namespace pdt
 
 #endif // PDT_CORE_SUBSCRIPT_H

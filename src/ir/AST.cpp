@@ -11,48 +11,75 @@
 #include "support/ErrorHandling.h"
 #include "support/MathExtras.h"
 
+#include <algorithm>
+#include <new>
+
 using namespace pdt;
 
+ASTContext::~ASTContext() {
+  for (NodeHeader *N = Nodes; N;) {
+    NodeHeader *Prev = N->Prev;
+    N->Destroy(reinterpret_cast<char *>(N) + alignUp(sizeof(NodeHeader)));
+    N = Prev;
+  }
+  for (BlockHeader *B = Blocks; B;) {
+    BlockHeader *Prev = B->Prev;
+    ::operator delete(B);
+    B = Prev;
+  }
+}
+
+void *ASTContext::allocate(size_t Size) {
+  Size = alignUp(Size);
+  if (static_cast<size_t>(End - Cur) < Size) {
+    size_t Bytes = std::max(BlockSize, alignUp(sizeof(BlockHeader)) + Size);
+    char *Mem = static_cast<char *>(::operator new(Bytes));
+    Blocks = new (Mem) BlockHeader{Blocks};
+    Cur = Mem + alignUp(sizeof(BlockHeader));
+    End = Mem + Bytes;
+  }
+  void *P = Cur;
+  Cur += Size;
+  return P;
+}
+
 const IntLiteral *ASTContext::getInt(int64_t Value) {
-  return addExpr(std::make_unique<IntLiteral>(Value));
+  return create<IntLiteral>(Value);
 }
 
 const VarRef *ASTContext::getVar(std::string Name) {
-  return addExpr(std::make_unique<VarRef>(std::move(Name)));
+  return create<VarRef>(std::move(Name));
 }
 
 const UnaryExpr *ASTContext::getNeg(const Expr *Operand) {
-  return addExpr(
-      std::make_unique<UnaryExpr>(UnaryExpr::Opcode::Neg, Operand));
+  return create<UnaryExpr>(UnaryExpr::Opcode::Neg, Operand);
 }
 
 const BinaryExpr *ASTContext::getBinary(BinaryExpr::Opcode Op, const Expr *LHS,
                                         const Expr *RHS) {
-  return addExpr(std::make_unique<BinaryExpr>(Op, LHS, RHS));
+  return create<BinaryExpr>(Op, LHS, RHS);
 }
 
 const ArrayElement *
 ASTContext::getArrayElement(std::string Name,
                             std::vector<const Expr *> Subscripts) {
-  return addExpr(
-      std::make_unique<ArrayElement>(std::move(Name), std::move(Subscripts)));
+  return create<ArrayElement>(std::move(Name), std::move(Subscripts));
 }
 
 const AssignStmt *ASTContext::createArrayAssign(const ArrayElement *Target,
                                                 const Expr *Value) {
-  return addStmt(std::make_unique<AssignStmt>(Target, Value));
+  return create<AssignStmt>(Target, Value);
 }
 
 const AssignStmt *ASTContext::createScalarAssign(std::string Name,
                                                  const Expr *Value) {
-  return addStmt(std::make_unique<AssignStmt>(std::move(Name), Value));
+  return create<AssignStmt>(std::move(Name), Value);
 }
 
 const DoLoop *ASTContext::createDoLoop(std::string Index, const Expr *Lower,
                                        const Expr *Upper, const Expr *Step,
                                        std::vector<const Stmt *> Body) {
-  return addStmt(std::make_unique<DoLoop>(std::move(Index), Lower, Upper,
-                                          Step, std::move(Body)));
+  return create<DoLoop>(std::move(Index), Lower, Upper, Step, std::move(Body));
 }
 
 std::optional<int64_t> pdt::evaluateConstantExpr(const Expr *E) {

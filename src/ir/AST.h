@@ -21,8 +21,10 @@
 #include "support/Casting.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -254,12 +256,16 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Arena that owns every AST node. Nodes are created through the
-/// factory methods and live exactly as long as the context.
+/// factory methods and live exactly as long as the context: they are
+/// bump-allocated in blocks, and destroying the context runs every
+/// node's destructor and then frees the blocks. A node is never freed
+/// on its own.
 class ASTContext {
 public:
   ASTContext() = default;
   ASTContext(const ASTContext &) = delete;
   ASTContext &operator=(const ASTContext &) = delete;
+  ~ASTContext();
 
   const IntLiteral *getInt(int64_t Value);
   const VarRef *getVar(std::string Name);
@@ -286,18 +292,41 @@ public:
                              std::vector<const Stmt *> Body);
 
 private:
-  std::vector<std::unique_ptr<Expr>> Exprs;
-  std::vector<std::unique_ptr<Stmt>> Stmts;
+  /// Precedes every node in its block: the chain of nodes to destroy.
+  struct NodeHeader {
+    NodeHeader *Prev;
+    void (*Destroy)(void *Node);
+  };
+  /// Precedes every block: the chain of blocks to free.
+  struct BlockHeader {
+    BlockHeader *Prev;
+  };
+  static constexpr size_t BlockSize = 4096;
 
-  template <typename T> const T *addExpr(std::unique_ptr<T> E) {
-    const T *Raw = E.get();
-    Exprs.push_back(std::unique_ptr<Expr>(E.release()));
-    return Raw;
+  /// \p N rounded up to the arena's alignment, that of any node type.
+  static constexpr size_t alignUp(size_t N) {
+    return (N + alignof(std::max_align_t) - 1) &
+           ~(alignof(std::max_align_t) - 1);
   }
-  template <typename T> const T *addStmt(std::unique_ptr<T> S) {
-    const T *Raw = S.get();
-    Stmts.push_back(std::unique_ptr<Stmt>(S.release()));
-    return Raw;
+
+  BlockHeader *Blocks = nullptr;
+  NodeHeader *Nodes = nullptr;
+  char *Cur = nullptr;
+  char *End = nullptr;
+
+  /// Bump-allocates \p Size bytes, aligned for any node type.
+  void *allocate(size_t Size);
+
+  template <typename T, typename... Args> const T *create(Args &&...A) {
+    static_assert(alignof(T) <= alignof(std::max_align_t),
+                  "node over-aligned for the arena");
+    char *Mem = static_cast<char *>(
+        allocate(alignUp(sizeof(NodeHeader)) + sizeof(T)));
+    T *Node = new (Mem + alignUp(sizeof(NodeHeader)))
+        T(std::forward<Args>(A)...);
+    Nodes = new (Mem)
+        NodeHeader{Nodes, [](void *P) { static_cast<T *>(P)->~T(); }};
+    return Node;
   }
 };
 

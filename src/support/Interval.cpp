@@ -41,7 +41,9 @@ std::optional<int64_t> Interval::size() const {
     return std::nullopt;
   if (isEmpty())
     return 0;
-  return saturatingAdd(saturatingAdd(*Hi, -*Lo), 1);
+  // Hi >= Lo, so Hi - Lo can only overflow upwards.
+  std::optional<int64_t> Extent = checkedSub(*Hi, *Lo);
+  return Extent ? saturatingAdd(*Extent, 1) : INT64_MAX;
 }
 
 Interval Interval::operator+(const Interval &RHS) const {

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <vector>
 
 #include <dirent.h>
@@ -100,6 +99,32 @@ bool writeAll(int Fd, const char *Data, size_t Len) {
   return true;
 }
 
+// Reads the whole file at \p Path into \p Out. False on any error.
+bool readFile(const std::string &Path, std::string &Out) {
+  int Fd = ::open(Path.c_str(), O_RDONLY);
+  if (Fd < 0)
+    return false;
+  struct stat St;
+  bool Ok = ::fstat(Fd, &St) == 0;
+  if (Ok) {
+    Out.resize(static_cast<size_t>(St.st_size));
+    size_t Done = 0;
+    while (Ok && Done != Out.size()) {
+      ssize_t N = ::read(Fd, Out.data() + Done, Out.size() - Done);
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0) {
+        Out.resize(Done); // Shrunk meanwhile: keep what was read.
+        Ok = N == 0;
+        break;
+      }
+      Done += static_cast<size_t>(N);
+    }
+  }
+  ::close(Fd);
+  return Ok;
+}
+
 std::string segmentName(uint64_t Idx) {
   return "seg-" + std::to_string(Idx) + ".pdt";
 }
@@ -158,15 +183,21 @@ std::unique_ptr<SegmentStore> SegmentStore::open(const std::string &Dir,
   for (const auto &[Idx, Path] : Segments) {
     S->NextSeg = std::max(S->NextSeg, Idx + 1);
     std::map<std::string, std::string> Loaded;
-    bool Clean = S->loadSegment(Path, Loaded);
-    S->Records.insert(Loaded.begin(), Loaded.end());
-    if (!Clean) {
-      // Anything imperfect is set aside whole; its valid records are
-      // rewritten as a pristine segment so the next open is clean.
-      S->quarantine(Path);
-      if (!Loaded.empty() && !S->Broken)
-        S->writeSegment(Loaded);
+    if (S->loadSegment(Path, Loaded)) {
+      // Earlier segments win, so a key already held is kept.
+      while (!Loaded.empty()) {
+        auto Node = Loaded.extract(Loaded.begin());
+        S->Records.try_emplace(std::move(Node.key()),
+                               std::move(Node.mapped()));
+      }
+      continue;
     }
+    // Anything imperfect is set aside whole; its valid records are
+    // rewritten as a pristine segment so the next open is clean.
+    S->Records.insert(Loaded.begin(), Loaded.end());
+    S->quarantine(Path);
+    if (!Loaded.empty() && !S->Broken)
+      S->writeSegment(Loaded);
   }
   return S;
 }
@@ -177,13 +208,11 @@ bool SegmentStore::loadSegment(const std::string &Path,
     Stats.StaleSegments++; // Unreadable counts as not-ours.
     return false;
   }
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::string Buf;
+  if (!readFile(Path, Buf)) {
     Stats.StaleSegments++;
     return false;
   }
-  std::string Buf((std::istreambuf_iterator<char>(In)),
-                  std::istreambuf_iterator<char>());
 
   // Header: magic + generation. Any mismatch means the segment was
   // written by another analyzer version / option set (or is not a

@@ -57,6 +57,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 namespace pdt {
 
@@ -143,7 +144,9 @@ private:
   std::string Generation;
 
   mutable std::mutex Mutex;
-  std::map<std::string, std::string> Records;
+  /// Keys are long and share long prefixes, so they are hashed once
+  /// rather than compared along a tree path.
+  std::unordered_map<std::string, std::string> Records;
   StoreRecoveryStats Stats;
   bool Broken = false;
   int Fd = -1;          ///< Append segment fd, -1 until first insert.

@@ -1,11 +1,12 @@
 //===- tests/core/AllocationGuardTest.cpp ---------------------------------===//
 //
 // Counts heap allocations (calls of the global operator new) across one
-// serial DependenceGraph::build of bench_x3's 64-nest program. The
-// count is a property of the code, not of the machine: it repeats
-// exactly from run to run, so it guards the allocation-free pair path
-// without timing noise. A separate binary because it replaces the
-// global operator new.
+// serial DependenceGraph::build of bench_x3's 64-nest program, and
+// across end-to-end analyses of small fuzz kernels. The counts are a
+// property of the code, not of the machine: they repeat exactly from
+// run to run, so they guard the allocation-lean paths without timing
+// noise. A separate binary because it replaces the global operator
+// new.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,9 @@
 #include "core/PairBatch.h"
 #include "driver/Analyzer.h"
 #include "driver/WorkloadGenerator.h"
+#include "fuzz/FuzzKernel.h"
+#include "fuzz/KernelGen.h"
+#include "transforms/Parallelizer.h"
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,7 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <set>
 
 namespace {
 
@@ -101,9 +106,59 @@ TEST(AllocationGuard, SerialBigProgramBuild) {
 
   // With the string-keyed affine core (two std::map per LinearExpr, a
   // copied SymbolRangeMap per pair context, str()-built memo keys) this
-  // build made 192,785 allocations; the flat core makes 31,708. The
-  // bound allows 10% above that count.
-  const uint64_t Measured = 31708;
+  // build made 192,785 allocations; the flat core made 31,708, and
+  // inline dependence vectors and string-free partitioning bring it to
+  // 28,661. The bound allows 10% above that count.
+  const uint64_t Measured = 28661;
   EXPECT_LE(First, Measured + Measured / 10)
       << "serial build allocations: " << First;
+}
+
+TEST(AllocationGuard, SmallProgramOps) {
+  // The kernels the repository benchmark's `kernels` workload analyses
+  // for seed 1: distinct fuzz kernels of the eight non-hostile strata
+  // (ZIV ... symbolic-bound), each one op of source text -> parse ->
+  // normalize -> IV substitution -> serial graph -> parallel loops.
+  constexpr uint64_t FuzzSeed = 0x6B65726E656C73ull;
+  constexpr unsigned NonHostileStrata = 8;
+  constexpr unsigned NumKernels = 256;
+  std::vector<std::string> Sources;
+  std::set<std::string> Seen;
+  for (uint64_t Index = 0; Sources.size() != NumKernels; ++Index) {
+    if (Index % NumFuzzStrata >= NonHostileStrata)
+      continue;
+    std::string Source =
+        fuzzKernelToSource(generateFuzzKernel(FuzzSeed, Index));
+    if (Seen.insert(Source).second)
+      Sources.push_back(std::move(Source));
+  }
+  AnalyzerOptions Opt;
+  Opt.NumThreads = 1;
+  auto RunAll = [&] {
+    size_t Loops = 0;
+    for (const std::string &Source : Sources) {
+      AnalysisResult R = analyzeSource(Source, "kernel", Opt);
+      EXPECT_TRUE(R.Parsed);
+      Loops += findParallelLoops(R.Graph).size();
+    }
+    return Loops;
+  };
+
+  // One warm-up pass pays one-time lazy initialisation.
+  size_t WarmLoops = RunAll();
+  Allocations.store(0);
+  Counting.store(true);
+  size_t Loops = RunAll();
+  Counting.store(false);
+  uint64_t Total = Allocations.load();
+  EXPECT_EQ(Loops, WarmLoops);
+
+  // The string-set partition, eagerly formatted Delta trace lines, heap
+  // blocks per dependence vector and per AST node made these ops
+  // 170,913 allocations (667 per op); the allocation-lean path makes
+  // 52,256 (204 per op). The bound allows 10% above that count.
+  const uint64_t Measured = 52256;
+  EXPECT_LE(Total, Measured + Measured / 10)
+      << "allocations over " << NumKernels << " kernel ops: " << Total
+      << " (" << Total / NumKernels << " per op)";
 }

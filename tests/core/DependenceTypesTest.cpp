@@ -98,7 +98,8 @@ TEST(VectorSets, IntersectFiltersEmpties) {
   A.Directions = {DirLT};
   B.Directions = {DirGT};
   F.Directions = {static_cast<DirectionSet>(DirLT | DirEQ)};
-  std::vector<DependenceVector> Out = intersectVectorSet({A, B}, F);
+  std::vector<DependenceVector> Out = {A, B};
+  refineVectorSet(Out, F);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_EQ(Out[0].Directions[0], DirLT);
 }

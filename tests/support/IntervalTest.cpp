@@ -30,6 +30,12 @@ TEST(Interval, Size) {
   EXPECT_EQ(Interval(1, 10).size(), std::optional<int64_t>(10));
   EXPECT_EQ(Interval(0, 0).size(), std::optional<int64_t>(1));
   EXPECT_EQ(Interval(1, std::nullopt).size(), std::nullopt);
+  // Bounds at the int64 limits: the extent saturates, never wraps.
+  EXPECT_EQ(Interval(INT64_MIN, INT64_MIN).size(), std::optional<int64_t>(1));
+  EXPECT_EQ(Interval(INT64_MIN, -1).size(), std::optional<int64_t>(INT64_MAX));
+  EXPECT_EQ(Interval(INT64_MIN, INT64_MAX).size(),
+            std::optional<int64_t>(INT64_MAX));
+  EXPECT_EQ(Interval(-1, INT64_MAX).size(), std::optional<int64_t>(INT64_MAX));
 }
 
 TEST(Interval, Addition) {

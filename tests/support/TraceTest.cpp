@@ -221,10 +221,11 @@ void expectProperNesting(const std::vector<TraceEvent> &Events) {
       ASSERT_GE(E.DurationNs, 0) << E.Name;
       while (!EndStack.empty() && Start >= EndStack.back())
         EndStack.pop_back();
-      if (!EndStack.empty())
+      if (!EndStack.empty()) {
         EXPECT_LE(End, EndStack.back())
             << "span " << E.Name << " on tid " << Tid
             << " partially overlaps its enclosing span";
+      }
       EndStack.push_back(End);
     }
   }
