@@ -198,32 +198,11 @@ DependenceGraph DependenceGraph::build(const Program &P,
 
   std::set<std::string> VaryingScalars = collectVaryingScalars(P);
 
-  // Bucket accesses by array name: only same-array pairs can ever
-  // depend, so cross-array pairs are not even enumerated.
-  std::map<std::string, std::vector<unsigned>> Buckets;
-  for (unsigned I = 0, E = G.Accesses.size(); I != E; ++I)
-    Buckets[G.Accesses[I].Ref->getArrayName()].push_back(I);
-
-  std::vector<std::pair<unsigned, unsigned>> Pairs;
-  for (const auto &[Name, Members] : Buckets) {
-    for (unsigned A = 0, E = Members.size(); A != E; ++A) {
-      for (unsigned B = A; B != E; ++B) {
-        unsigned I = Members[A], J = Members[B];
-        // A reference against itself can only produce an output
-        // self-dependence (distinct iterations writing one element,
-        // e.g. a(5) or a(i/2-free dims)); reads need no self edge.
-        if (I == J && !G.Accesses[I].IsWrite)
-          continue;
-        if (!IncludeInput && !G.Accesses[I].IsWrite && !G.Accesses[J].IsWrite)
-          continue;
-        Pairs.emplace_back(I, J);
-      }
-    }
-  }
-  // Restore the serial (I, J) enumeration order; per-pair results are
-  // emitted in this order, so the graph is byte-identical to a serial
-  // build no matter how many workers test the pairs.
-  std::sort(Pairs.begin(), Pairs.end());
+  // Per-pair results are emitted in the enumeration's (I, J) order, so
+  // the graph is byte-identical to a serial build no matter how many
+  // workers test the pairs.
+  std::vector<std::pair<unsigned, unsigned>> Pairs =
+      enumerateAccessPairs(G.Accesses, IncludeInput);
 
   unsigned Workers = ThreadPool::resolveThreadCount(NumThreads);
   Workers = std::max(1u, std::min<unsigned>(Workers, Pairs.size() ? Pairs.size() : 1));
@@ -356,6 +335,37 @@ DependenceGraph DependenceGraph::build(const Program &P,
                    static_cast<uint64_t>(Trace::nowNs() - BuildStartNs));
   }
   return G;
+}
+
+std::vector<std::pair<unsigned, unsigned>>
+pdt::enumerateAccessPairs(const std::vector<ArrayAccess> &Accesses,
+                          bool IncludeInput) {
+  // Bucket accesses by array name: only same-array pairs can ever
+  // depend, so cross-array pairs are not even enumerated.
+  std::map<std::string, std::vector<unsigned>> Buckets;
+  for (unsigned I = 0, E = Accesses.size(); I != E; ++I)
+    Buckets[Accesses[I].Ref->getArrayName()].push_back(I);
+
+  std::vector<std::pair<unsigned, unsigned>> Pairs;
+  for (const auto &[Name, Members] : Buckets) {
+    for (unsigned A = 0, E = Members.size(); A != E; ++A) {
+      for (unsigned B = A; B != E; ++B) {
+        unsigned I = Members[A], J = Members[B];
+        // A reference against itself can only produce an output
+        // self-dependence (distinct iterations writing one element,
+        // e.g. a(5) or a(i/2-free dims)); reads need no self edge.
+        if (I == J && !Accesses[I].IsWrite)
+          continue;
+        if (!IncludeInput && !Accesses[I].IsWrite && !Accesses[J].IsWrite)
+          continue;
+        Pairs.emplace_back(I, J);
+      }
+    }
+  }
+  // Buckets come out in array-name order; restore the serial (I, J)
+  // order.
+  std::sort(Pairs.begin(), Pairs.end());
+  return Pairs;
 }
 
 bool DependenceGraph::isLoopParallel(const DoLoop *Loop) const {

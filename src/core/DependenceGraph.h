@@ -28,6 +28,7 @@
 
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace pdt {
@@ -127,6 +128,14 @@ struct OrientedVector {
   std::optional<unsigned> CarriedLevel;
 };
 std::vector<OrientedVector> orientVectors(const DependenceVector &V);
+
+/// The access pairs DependenceGraph::build tests and explainProgram
+/// explains, as (I, J) indices into \p Accesses in ascending order:
+/// accesses to one array with I <= J, skipping a read against itself
+/// and, unless \p IncludeInput, read-read pairs.
+std::vector<std::pair<unsigned, unsigned>>
+enumerateAccessPairs(const std::vector<ArrayAccess> &Accesses,
+                     bool IncludeInput);
 
 } // namespace pdt
 

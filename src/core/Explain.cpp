@@ -7,12 +7,10 @@
 
 #include "core/Explain.h"
 
+#include "core/DependenceGraph.h"
 #include "ir/AccessCollector.h"
 #include "ir/PrettyPrinter.h"
 #include "support/Failure.h"
-
-#include <algorithm>
-#include <map>
 
 using namespace pdt;
 
@@ -156,27 +154,8 @@ std::string pdt::explainProgram(const Program &P,
   std::vector<ArrayAccess> Accesses = collectAccesses(P);
   std::set<std::string> VaryingScalars = collectVaryingScalars(P);
 
-  // The same enumeration the graph builder uses: same-array pairs, in
-  // (I, J) order, skipping read-read pairs unless IncludeInput and
-  // read self-pairs always.
-  std::map<std::string, std::vector<unsigned>> Buckets;
-  for (unsigned I = 0, E = Accesses.size(); I != E; ++I)
-    Buckets[Accesses[I].Ref->getArrayName()].push_back(I);
-
-  std::vector<std::pair<unsigned, unsigned>> Pairs;
-  for (const auto &[Name, Members] : Buckets) {
-    for (unsigned A = 0, E = Members.size(); A != E; ++A) {
-      for (unsigned B = A; B != E; ++B) {
-        unsigned I = Members[A], J = Members[B];
-        if (I == J && !Accesses[I].IsWrite)
-          continue;
-        if (!IncludeInput && !Accesses[I].IsWrite && !Accesses[J].IsWrite)
-          continue;
-        Pairs.emplace_back(I, J);
-      }
-    }
-  }
-  std::sort(Pairs.begin(), Pairs.end());
+  std::vector<std::pair<unsigned, unsigned>> Pairs =
+      enumerateAccessPairs(Accesses, IncludeInput);
 
   std::string Out;
   unsigned N = 0;

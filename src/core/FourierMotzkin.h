@@ -70,8 +70,6 @@ public:
   bool isRationallyFeasible(const FMBudget &Budget,
                             bool *BudgetHit = nullptr) const;
 
-  unsigned numRows() const { return Rows.size(); }
-
 private:
   struct Row {
     std::vector<Rational> Coeffs;

@@ -110,7 +110,7 @@ void appendStats(std::string &Out, const TestStats &S) {
 }
 
 void writeReportNow() {
-  const std::string Path = RunReport::envPathValue();
+  const std::string &Path = recorder().EnvPath;
   if (!Path.empty() && !RunReport::writeTo(Path))
     std::fprintf(stderr, "pdt: warning: cannot write PDT_REPORT file %s\n",
                  Path.c_str());
@@ -287,22 +287,19 @@ bool RunReport::writeTo(const std::string &Path) {
   return File.good();
 }
 
-const std::string &RunReport::envPathValue() {
-  return recorder().EnvPath;
-}
-
-void RunReport::initFromEnvironment() {
-  static bool Done = false;
-  if (Done)
-    return;
-  Done = true;
+namespace {
+/// Arms PDT_REPORT before main (hardened parsing): installs the
+/// process-exit and crash-flush writers and enables metrics so the
+/// report always carries counters. support/Telemetry.h, which arms the
+/// support sinks, cannot see the driver.
+[[maybe_unused]] const bool ReportArmed = [] {
   // Install the TestKind namer bridge unconditionally: env-armed
   // profiles (PDT_PROFILE) should get symbolic kind names whenever
   // the driver is linked in.
   Profile::setTagNamer(kindTagName);
   std::optional<std::string> Path = envPath("PDT_REPORT");
   if (!Path)
-    return;
+    return true;
   recorder().EnvPath = std::move(*Path);
   // A report without counters is hollow: arm metrics (cheap, sharded
   // relaxed stores) unless something else — PDT_METRICS — already
@@ -312,10 +309,6 @@ void RunReport::initFromEnvironment() {
     Metrics::enable();
   std::atexit([] { writeReportNow(); });
   registerCrashFlush("PDT_REPORT", [] { writeReportNow(); });
-}
-
-namespace {
-/// Arms PDT_REPORT before main, mirroring Trace/Metrics/Profile.
-[[maybe_unused]] const bool ReportEnvInitialized =
-    (RunReport::initFromEnvironment(), true);
+  return true;
+}();
 } // namespace

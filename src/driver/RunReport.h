@@ -75,14 +75,6 @@ public:
   /// Writes render() to \p Path; false on I/O failure.
   static bool writeTo(const std::string &Path);
 
-  /// The PDT_REPORT path, empty when unset.
-  static const std::string &envPathValue();
-
-  /// Arms the recorder from PDT_REPORT (hardened parsing): installs
-  /// the process-exit and crash-flush writers and enables metrics so
-  /// the report always carries counters. Called once automatically
-  /// before main; exposed for tests.
-  static void initFromEnvironment();
 };
 
 } // namespace pdt

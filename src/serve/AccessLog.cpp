@@ -7,20 +7,16 @@
 
 #include "serve/AccessLog.h"
 
-#include "support/BuildInfo.h"
 #include "support/Env.h"
 #include "support/Json.h"
+#include "support/Telemetry.h"
 
 #include <atomic>
-#include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
-#include <fcntl.h>
 #include <mutex>
-#include <unistd.h>
 
 using namespace pdt;
 using namespace pdt::serve;
@@ -31,7 +27,7 @@ struct AccessState {
   std::mutex M;
   // Outside the mutex so the disarmed append() is one relaxed load.
   std::atomic<bool> Enabled{false};
-  int Fd = -1;
+  JsonlStream Stream;
   uint64_t Lines = 0;
   std::chrono::steady_clock::time_point Epoch;
 };
@@ -45,39 +41,6 @@ AccessState &state() {
 
 thread_local uint64_t PendingQueueNs = 0;
 
-std::string headerLine() {
-  char Time[32] = "unknown";
-  std::time_t Now = std::time(nullptr);
-  if (std::tm *UTC = std::gmtime(&Now))
-    std::strftime(Time, sizeof(Time), "%Y-%m-%dT%H:%M:%SZ", UTC);
-  std::string Out = "{\"schema\": \"pdt-access-v1\", \"build\": ";
-  Out += buildInfoJson();
-  Out += ", \"start\": \"";
-  Out += Time;
-  Out += "\"}\n";
-  return Out;
-}
-
-/// One complete line, EINTR-safe. Crash safety is per line: a single
-/// write() hands the bytes to the kernel before append() returns, the
-/// same guarantee fflush() would give (neither is an fsync) for one
-/// syscall instead of stdio's buffer-and-flush round trip — the
-/// accounting contract ("every answered request has its line") must
-/// survive a SIGABRT one instruction later, and it must cost little
-/// enough that arming the log never shows up in a latency profile.
-void writeFully(int Fd, const char *Data, size_t Len) {
-  size_t Done = 0;
-  while (Done < Len) {
-    ssize_t N = ::write(Fd, Data + Done, Len - Done);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return; // Out of space/backing store gone: drop, never block serving.
-    }
-    Done += static_cast<size_t>(N);
-  }
-}
-
 } // namespace
 
 bool AccessLog::enabled() {
@@ -87,18 +50,11 @@ bool AccessLog::enabled() {
 bool AccessLog::start(const std::string &Path) {
   AccessState &S = state();
   std::lock_guard<std::mutex> Lock(S.M);
-  if (S.Fd >= 0) {
-    ::close(S.Fd);
-    S.Fd = -1;
-  }
   S.Enabled.store(false, std::memory_order_relaxed);
   S.Lines = 0;
   S.Epoch = std::chrono::steady_clock::now();
-  S.Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (S.Fd < 0)
+  if (!S.Stream.open(Path, JsonlStream::header("pdt-access-v1")))
     return false;
-  std::string Header = headerLine();
-  writeFully(S.Fd, Header.data(), Header.size());
   S.Enabled.store(true, std::memory_order_relaxed);
   return true;
 }
@@ -107,10 +63,7 @@ void AccessLog::stop() {
   AccessState &S = state();
   std::lock_guard<std::mutex> Lock(S.M);
   S.Enabled.store(false, std::memory_order_relaxed);
-  if (S.Fd >= 0) {
-    ::close(S.Fd);
-    S.Fd = -1;
-  }
+  S.Stream.close();
 }
 
 void AccessLog::append(const AccessRecord &R) {
@@ -192,7 +145,7 @@ void AccessLog::append(const AccessRecord &R) {
   Field(PDT_LIT(", \"scalar_fallback\": "), R.ScalarFallback);
   Field(PDT_LIT(", \"store_hits\": "), R.StoreHits);
   Field(PDT_LIT(", \"store_misses\": "), R.StoreMisses);
-  Raw(PDT_LIT("}}\n"));
+  Raw(PDT_LIT("}}"));
   if (Overflow) {
     P = Buf;
     Overflow = false;
@@ -203,16 +156,16 @@ void AccessLog::append(const AccessRecord &R) {
              // route can overflow, and it is dropped here
     Raw(PDT_LIT("\", \"route\": \"-overlong-\""));
     Field(PDT_LIT(", \"status\": "), static_cast<uint64_t>(R.Status));
-    Raw(PDT_LIT("}\n"));
+    Raw(PDT_LIT("}"));
     if (Overflow)
       return;
   }
 #undef PDT_LIT
   size_t Len = static_cast<size_t>(P - Buf);
   std::lock_guard<std::mutex> Lock(S.M);
-  if (S.Fd < 0)
+  if (!S.Stream.isOpen())
     return;
-  writeFully(S.Fd, Buf, Len);
+  S.Stream.writeLine({Buf, Len});
   ++S.Lines;
 }
 
@@ -230,23 +183,16 @@ uint64_t AccessLog::takeQueueNs() {
   return Ns;
 }
 
-void AccessLog::initFromEnvironment() {
-  static bool Done = false;
-  if (Done)
-    return;
-  Done = true;
-  std::optional<std::string> Path = envPath("PDT_ACCESS_LOG");
-  if (!Path)
-    return;
-  if (!AccessLog::start(*Path))
-    std::fprintf(stderr, "pdt: warning: cannot open PDT_ACCESS_LOG file %s\n",
-                 Path->c_str());
-}
-
 namespace {
-/// Arms PDT_ACCESS_LOG before main, mirroring Trace/Metrics/EventLog.
-/// This TU is linked into anything that uses Service or Server (they
-/// call append()), so the initializer runs in every serving binary.
-[[maybe_unused]] const bool AccessEnvInitialized =
-    (AccessLog::initFromEnvironment(), true);
+/// Arms PDT_ACCESS_LOG before main. This TU is linked into anything
+/// that uses Service or Server (they call append()), so the
+/// initializer runs in every serving binary.
+[[maybe_unused]] const bool AccessLogArmed = [] {
+  if (std::optional<std::string> Path = envPath("PDT_ACCESS_LOG"))
+    if (!AccessLog::start(*Path))
+      std::fprintf(stderr,
+                   "pdt: warning: cannot open PDT_ACCESS_LOG file %s\n",
+                   Path->c_str());
+  return true;
+}();
 } // namespace

@@ -30,12 +30,12 @@
 /// Deliberately exempt from the journal's per-key rate limiter — the
 /// accounting contract is one line per request, enforced under
 /// saturation by bench_x11_reqobs — and crash-safe the same way the
-/// journal is: every line reaches the kernel (one write()) before
-/// append() returns.
+/// journal is: every line reaches the kernel (one write(), through
+/// support/Telemetry.h's JsonlStream) before append() returns.
 ///
-/// Armed via PDT_ACCESS_LOG=path (depserved: --access-log) or
-/// programmatically with start(); disarmed, append() is one relaxed
-/// load.
+/// Armed via PDT_ACCESS_LOG=path (depserved: --access-log; read by a
+/// static initializer in AccessLog.cpp) or programmatically with
+/// start(); disarmed, append() is one relaxed load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,10 +100,6 @@ public:
   /// concurrent workers never mix their requests up.
   static void noteQueueNs(uint64_t Ns);
   static uint64_t takeQueueNs();
-
-  /// Arms from PDT_ACCESS_LOG=path. Called once before main (static
-  /// initializer in AccessLog.cpp); exposed for tests.
-  static void initFromEnvironment();
 };
 
 } // namespace serve

@@ -59,9 +59,6 @@ public:
   bool connected() const { return Fd >= 0; }
   void close();
 
-  /// Seconds a read may block before the client gives up (default 10).
-  void setReceiveTimeout(unsigned Seconds) { TimeoutSeconds = Seconds; }
-
   /// Sends one request and blocks for its response. Keep-alive: the
   /// connection stays open unless the server closed it. False (with
   /// \p Error) on any socket or framing failure.
@@ -92,8 +89,9 @@ public:
   const std::string &lastRequestId() const { return LastRequestId; }
 
 private:
+  /// Seconds a read may block before the client gives up.
+  static constexpr unsigned TimeoutSeconds = 10;
   int Fd = -1;
-  unsigned TimeoutSeconds = 10;
   ResponseParser Parser;
   std::string LastRequestId;
 };

@@ -91,3 +91,21 @@ std::optional<std::string> pdt::envPath(const char *Name) {
   }
   return Path;
 }
+
+bool pdt::splitSwitchSpec(const std::string &Spec, bool &On,
+                          std::vector<std::string> &Args) {
+  std::vector<std::string> Parts;
+  for (size_t Pos = 0;;) {
+    size_t Comma = Spec.find(',', Pos);
+    Parts.push_back(Spec.substr(Pos, Comma - Pos));
+    if (Comma == std::string::npos)
+      break;
+    Pos = Comma + 1;
+  }
+  if (Parts.size() > 3 || (Parts[0] != "on" && Parts[0] != "off") ||
+      (Parts[0] == "off" && Parts.size() != 1))
+    return false;
+  On = Parts[0] == "on";
+  Args.assign(Parts.begin() + 1, Parts.end());
+  return true;
+}

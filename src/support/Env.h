@@ -23,6 +23,7 @@
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace pdt {
 
@@ -44,6 +45,14 @@ std::optional<std::string> envPath(const char *Name);
 /// anything else.
 std::optional<std::string> envChoice(const char *Name,
                                      std::initializer_list<const char *> Choices);
+
+/// Splits an on/off switch spec (PDT_FLIGHT, PDT_WATCHDOG): "off", or
+/// "on" followed by at most two comma-separated arguments. Returns
+/// false for any other keyword, for arguments after "off" and for more
+/// than two arguments; otherwise sets \p On and fills \p Args with the
+/// arguments as written (possibly empty), which the caller validates.
+bool splitSwitchSpec(const std::string &Spec, bool &On,
+                     std::vector<std::string> &Args);
 
 } // namespace pdt
 

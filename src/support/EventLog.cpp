@@ -7,17 +7,14 @@
 
 #include "support/EventLog.h"
 
-#include "support/BuildInfo.h"
-#include "support/Env.h"
 #include "support/ErrorHandling.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/RequestContext.h"
+#include "support/Telemetry.h"
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <ctime>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -55,8 +52,7 @@ struct JournalState {
   // relaxed load — degradation sites check it before building detail
   // strings.
   std::atomic<bool> Enabled{false};
-  std::FILE *File = nullptr;
-  std::string Path;
+  JsonlStream Stream;
   std::deque<std::string> Recent;
   EventLog::Counts Counts;
   std::map<std::pair<const char *, const char *>, RateCell> Rates;
@@ -87,36 +83,6 @@ uint64_t nowMsLocked(JournalState &S) {
           .count());
 }
 
-/// Renders the pdt-events-v1 header line (no trailing newline).
-std::string headerLine() {
-  char Time[32] = "unknown";
-  std::time_t Now = std::time(nullptr);
-  if (std::tm *UTC = std::gmtime(&Now))
-    std::strftime(Time, sizeof(Time), "%Y-%m-%dT%H:%M:%SZ", UTC);
-  std::string Out = "{\"schema\": \"pdt-events-v1\", \"build\": ";
-  Out += buildInfoJson();
-  Out += ", \"start\": \"";
-  Out += Time;
-  Out += "\"}";
-  return Out;
-}
-
-void appendLineLocked(JournalState &S, const std::string &Line,
-                      bool ToRecent) {
-  if (ToRecent) {
-    if (S.Recent.size() == MaxRecentLines)
-      S.Recent.pop_front();
-    S.Recent.push_back(Line);
-  }
-  if (S.File) {
-    std::fwrite(Line.data(), 1, Line.size(), S.File);
-    std::fputc('\n', S.File);
-    // Crash safety is per line: a SIGABRT one instruction later still
-    // leaves a parseable journal.
-    std::fflush(S.File);
-  }
-}
-
 } // namespace
 
 bool EventLog::enabled() {
@@ -126,33 +92,21 @@ bool EventLog::enabled() {
 bool EventLog::start(const std::string &Path) {
   JournalState &S = state();
   std::lock_guard<std::mutex> Lock(S.M);
-  if (S.File) {
-    std::fclose(S.File);
-    S.File = nullptr;
-  }
+  S.Stream.close();
   S.Recent.clear();
   S.Counts = Counts();
   S.Rates.clear();
   S.Epoch = std::chrono::steady_clock::now();
-  S.Path = Path;
   S.Enabled.store(true, std::memory_order_relaxed);
-  if (Path.empty())
-    return true;
-  S.File = std::fopen(Path.c_str(), "w");
-  if (!S.File)
-    return false;
-  appendLineLocked(S, headerLine(), /*ToRecent=*/false);
-  return true;
+  return Path.empty() ||
+         S.Stream.open(Path, JsonlStream::header("pdt-events-v1"));
 }
 
 void EventLog::stop() {
   JournalState &S = state();
   std::lock_guard<std::mutex> Lock(S.M);
   S.Enabled.store(false, std::memory_order_relaxed);
-  if (S.File) {
-    std::fclose(S.File);
-    S.File = nullptr;
-  }
+  S.Stream.close();
 }
 
 void EventLog::event(
@@ -214,7 +168,12 @@ void EventLog::event(
     Cell.Suppressed = 0;
   }
   Line += "}";
-  appendLineLocked(S, Line, /*ToRecent=*/true);
+  // Crash safety is per line: a SIGABRT one instruction later still
+  // leaves a parseable journal.
+  S.Stream.writeLine(Line);
+  if (S.Recent.size() == MaxRecentLines)
+    S.Recent.pop_front();
+  S.Recent.push_back(std::move(Line));
 }
 
 EventLog::Counts EventLog::counts() {
@@ -241,22 +200,3 @@ void EventLog::setClockForTest(uint64_t (*NowMs)()) {
   std::lock_guard<std::mutex> Lock(S.M);
   S.ClockMs = NowMs;
 }
-
-void EventLog::initFromEnvironment() {
-  static bool Done = false;
-  if (Done)
-    return;
-  Done = true;
-  std::optional<std::string> Path = envPath("PDT_EVENTS");
-  if (!Path)
-    return;
-  if (!EventLog::start(*Path))
-    std::fprintf(stderr, "pdt: warning: cannot open PDT_EVENTS file %s\n",
-                 Path->c_str());
-}
-
-namespace {
-/// Arms PDT_EVENTS before main, mirroring Trace/Metrics.
-[[maybe_unused]] const bool EventsEnvInitialized =
-    (EventLog::initFromEnvironment(), true);
-} // namespace

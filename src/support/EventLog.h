@@ -24,10 +24,10 @@
 /// the event fired inside a serving request's RequestContext scope and
 /// names that request's X-PDT-Request-Id.
 ///
-/// Crash-safe by construction: each line is appended and flushed
-/// before event() returns, so the journal survives SIGABRT without a
-/// flush hook. A bounded in-memory ring of recent lines feeds the run
-/// report and the tests.
+/// Crash-safe by construction: each line reaches the kernel in one
+/// write() before event() returns (support/Telemetry.h's JsonlStream),
+/// so the journal survives SIGABRT without a flush hook. A bounded
+/// in-memory ring of recent lines feeds the run report and the tests.
 ///
 /// Rate limiting: a per-(layer,what) token window (default 32 events
 /// per second) keeps a degradation storm from turning the journal into
@@ -108,10 +108,6 @@ public:
   /// Injects a fake millisecond clock (nullptr restores the real one)
   /// so the rate-limiter tests are deterministic.
   static void setClockForTest(uint64_t (*NowMs)());
-
-  /// Arms from PDT_EVENTS=out.jsonl. Called once before main; exposed
-  /// for tests.
-  static void initFromEnvironment();
 };
 
 } // namespace pdt

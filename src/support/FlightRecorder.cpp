@@ -8,14 +8,12 @@
 #include "support/FlightRecorder.h"
 
 #include "support/BuildInfo.h"
-#include "support/CrashSafety.h"
+#include "support/Env.h"
 #include "support/EventLog.h"
 #include "support/Metrics.h"
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -53,41 +51,6 @@ bool parseBytes(const std::string &S, size_t &Out) {
   Out = Value;
   return true;
 }
-
-bool parseSpecImpl(const std::string &Spec, bool &On, size_t &BytesPerThread,
-                   std::string &DumpPath) {
-  // Split on commas: "on[,bytes[,path]]" or "off".
-  std::vector<std::string> Parts;
-  size_t Pos = 0;
-  while (true) {
-    size_t Comma = Spec.find(',', Pos);
-    Parts.push_back(Spec.substr(Pos, Comma - Pos));
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-  if (Parts.empty() || Parts.size() > 3)
-    return false;
-  if (Parts[0] == "off")
-    return Parts.size() == 1 ? (On = false, true) : false;
-  if (Parts[0] != "on")
-    return false;
-  size_t Bytes = 0;
-  if (Parts.size() >= 2 && !parseBytes(Parts[1], Bytes))
-    return false;
-  if (Parts.size() == 3 && Parts[2].empty())
-    return false;
-  On = true;
-  if (Bytes)
-    BytesPerThread = Bytes;
-  if (Parts.size() == 3)
-    DumpPath = Parts[2];
-  return true;
-}
-
-} // namespace
-
-namespace {
 
 /// One ring slot: a TraceEvent's bytes as relaxed atomic words, so a
 /// snapshot may copy a slot its writer is overwriting without a data
@@ -240,14 +203,7 @@ std::vector<TraceEvent> FlightRecorder::snapshot() {
       if (Index >= FirstSafe)
         All.push_back(Event);
   }
-  std::sort(All.begin(), All.end(),
-            [](const TraceEvent &A, const TraceEvent &B) {
-              if (A.Tid != B.Tid)
-                return A.Tid < B.Tid;
-              if (A.StartNs != B.StartNs)
-                return A.StartNs < B.StartNs;
-              return A.DurationNs > B.DurationNs;
-            });
+  std::sort(All.begin(), All.end(), spanPrecedes);
   return All;
 }
 
@@ -317,41 +273,19 @@ std::string FlightRecorder::dumpPath() {
 bool FlightRecorder::parseSpec(const std::string &Spec, bool &On,
                                size_t &BytesPerThread,
                                std::string &DumpPath) {
-  return parseSpecImpl(Spec, On, BytesPerThread, DumpPath);
+  bool IsOn = false;
+  std::vector<std::string> Args;
+  if (!splitSwitchSpec(Spec, IsOn, Args))
+    return false;
+  size_t Bytes = 0;
+  if (!Args.empty() && !parseBytes(Args[0], Bytes))
+    return false;
+  if (Args.size() == 2 && Args[1].empty())
+    return false;
+  On = IsOn;
+  if (Bytes)
+    BytesPerThread = Bytes;
+  if (Args.size() == 2)
+    DumpPath = Args[1];
+  return true;
 }
-
-void FlightRecorder::initFromEnvironment() {
-  static bool Done = false;
-  if (Done)
-    return;
-  Done = true;
-  const char *Spec = std::getenv("PDT_FLIGHT");
-  if (!Spec || !*Spec)
-    return;
-  bool On = false;
-  size_t Bytes = DefaultBytesPerThread;
-  std::string Path;
-  if (!parseSpec(Spec, On, Bytes, Path)) {
-    std::fprintf(stderr,
-                 "pdt: warning: malformed PDT_FLIGHT value '%s' "
-                 "(expected on[,bytes[,path]] or off); flight recorder "
-                 "stays disarmed\n",
-                 Spec);
-    return;
-  }
-  if (!On)
-    return;
-  FlightRecorder::start(Bytes, std::move(Path));
-  // A crashing run is exactly when the black box matters: dump the
-  // surviving window before the process dies.
-  registerCrashFlush("PDT_FLIGHT", [] {
-    if (FlightRecorder::enabled())
-      FlightRecorder::postmortem("crash");
-  });
-}
-
-namespace {
-/// Arms PDT_FLIGHT before main, mirroring Trace/Metrics.
-[[maybe_unused]] const bool FlightEnvInitialized =
-    (FlightRecorder::initFromEnvironment(), true);
-} // namespace

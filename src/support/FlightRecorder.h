@@ -70,7 +70,7 @@ public:
   static void record(const TraceEvent &E);
 
   /// The surviving window of every ring, merged and sorted by
-  /// (thread, start time, longest-first) like Trace::snapshot().
+  /// spanPrecedes like Trace::snapshot().
   static std::vector<TraceEvent> snapshot();
 
   struct Stats {
@@ -100,13 +100,10 @@ public:
 
   /// Parses a PDT_FLIGHT spec: "on", "off", "on,<bytes>[k|m]",
   /// "on,<bytes>,<path>". Returns false (leaving outputs untouched)
-  /// on malformed input. Exposed for EnvTest.
+  /// on malformed input. Used by support/Telemetry.h; exposed for
+  /// EnvTest.
   static bool parseSpec(const std::string &Spec, bool &On,
                         size_t &BytesPerThread, std::string &DumpPath);
-
-  /// Arms from PDT_FLIGHT and chains the crash-dump hook. Called once
-  /// before main; exposed for tests.
-  static void initFromEnvironment();
 };
 
 } // namespace pdt

@@ -7,14 +7,11 @@
 
 #include "support/Metrics.h"
 
-#include "support/CrashSafety.h"
-#include "support/Env.h"
 #include "support/ErrorHandling.h"
 
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -463,26 +460,3 @@ bool Metrics::writeTo(const std::string &Path) {
   File.flush();
   return File.good();
 }
-
-void Metrics::initFromEnvironment() {
-  static bool Done = false;
-  if (Done)
-    return;
-  Done = true;
-  std::optional<std::string> Path = envPath("PDT_METRICS");
-  if (!Path)
-    return;
-  if (Metrics::enable(std::move(*Path))) {
-    std::atexit([] { Metrics::stop(); });
-    // Aborting runs skip atexit; flush on terminate/SIGABRT too.
-    registerCrashFlush("PDT_METRICS", [] {
-      if (Metrics::enabled())
-        Metrics::stop();
-    });
-  }
-}
-
-namespace {
-[[maybe_unused]] const bool MetricsEnvInitialized =
-    (Metrics::initFromEnvironment(), true);
-} // namespace

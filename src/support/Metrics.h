@@ -235,10 +235,6 @@ public:
   /// Writes snapshot() to \p Path; false on I/O failure.
   static bool writeTo(const std::string &Path);
 
-  /// Arms metrics from PDT_METRICS (hardened parsing). Called once
-  /// automatically before main; exposed for tests.
-  static void initFromEnvironment();
-
 private:
   static void countImpl(Metric M, uint64_t N);
   static void gaugeMaxImpl(Gauge G, uint64_t Value);

@@ -7,17 +7,11 @@
 
 #include "support/Profile.h"
 
-#include "support/CrashSafety.h"
-#include "support/Env.h"
 #include "support/Json.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <optional>
 
 using namespace pdt;
 
@@ -78,16 +72,8 @@ Profile Profile::build(std::vector<TraceEvent> Events, TagNamer Namer) {
     Namer = tagNamer();
 
   // Same order snapshot() guarantees; re-established here so build()
-  // accepts events from any source (per thread, parents strictly
-  // precede their children).
-  std::sort(Events.begin(), Events.end(),
-            [](const TraceEvent &A, const TraceEvent &B) {
-              if (A.Tid != B.Tid)
-                return A.Tid < B.Tid;
-              if (A.StartNs != B.StartNs)
-                return A.StartNs < B.StartNs;
-              return A.DurationNs > B.DurationNs;
-            });
+  // accepts events from any source.
+  std::sort(Events.begin(), Events.end(), spanPrecedes);
 
   auto kindKey = [&](int Tag) -> std::string {
     if (Tag == TraceEvent::NoTag)
@@ -212,50 +198,3 @@ void Profile::setTagNamer(TagNamer Namer) {
 Profile::TagNamer Profile::tagNamer() {
   return DefaultNamer.load(std::memory_order_relaxed);
 }
-
-namespace {
-
-std::string &profileOutPath() {
-  // Immortal: read by the exit/crash flush writers.
-  static std::string *Path = new std::string;
-  return *Path;
-}
-
-void writeProfileNow() {
-  const std::string &Path = profileOutPath();
-  if (Path.empty())
-    return;
-  std::ofstream File(Path);
-  if (!File) {
-    std::fprintf(stderr, "pdt: warning: cannot write PDT_PROFILE file %s\n",
-                 Path.c_str());
-    return;
-  }
-  File << Profile::fromTrace().toJson();
-}
-
-} // namespace
-
-void Profile::initFromEnvironment() {
-  static bool Done = false;
-  if (Done)
-    return;
-  Done = true;
-  std::optional<std::string> Path = envPath("PDT_PROFILE");
-  if (!Path)
-    return;
-  profileOutPath() = std::move(*Path);
-  // PDT_TRACE may want its own arming (with its own output path); let
-  // it win the race deliberately, then arm pathless if it did not.
-  Trace::initFromEnvironment();
-  if (!Trace::enabled())
-    Trace::start("");
-  std::atexit([] { writeProfileNow(); });
-  registerCrashFlush("PDT_PROFILE", [] { writeProfileNow(); });
-}
-
-namespace {
-/// Arms PDT_PROFILE before main, mirroring Trace/Metrics.
-[[maybe_unused]] const bool ProfileEnvInitialized =
-    (Profile::initFromEnvironment(), true);
-} // namespace

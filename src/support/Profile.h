@@ -22,9 +22,10 @@
 ///
 /// Self time is inclusive time minus the direct children's inclusive
 /// time, computed by a stack walk that relies on the snapshot() sort
-/// order (per thread, start ascending, duration descending — parents
-/// strictly precede their children). Two invariants hold by
-/// construction and are asserted by the profiling tests:
+/// order (spanPrecedes: per thread, start ascending, duration
+/// descending — parents strictly precede their children). Two
+/// invariants hold by construction and are asserted by the profiling
+/// tests:
 ///
 ///   TotalSelfNs == sum of every root span's inclusive time, and
 ///   sum(ByKind[*].SelfNs) == TotalSelfNs (same for ByLayer).
@@ -40,7 +41,8 @@
 /// path, ready for flamegraph.pl or speedscope).
 ///
 /// PDT_PROFILE=out.json arms tracing at startup and writes the profile
-/// at process exit (crash-safe, like PDT_TRACE / PDT_METRICS).
+/// at process exit (crash-safe, like PDT_TRACE / PDT_METRICS; armed by
+/// support/Telemetry.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,11 +112,6 @@ public:
   /// symbolic kind names without support depending on core.
   static void setTagNamer(TagNamer Namer);
   static TagNamer tagNamer();
-
-  /// Arms tracing and schedules a profile dump from PDT_PROFILE
-  /// (hardened parsing; crash-safe flush). Called once automatically
-  /// before main; exposed for tests.
-  static void initFromEnvironment();
 };
 
 } // namespace pdt

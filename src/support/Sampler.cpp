@@ -8,18 +8,14 @@
 #include "support/Sampler.h"
 
 #include "support/BuildInfo.h"
-#include "support/Env.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
+#include "support/Telemetry.h"
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,7 +34,7 @@ struct Series {
 struct SamplerState {
   std::mutex M;
   std::atomic<bool> Enabled{false};
-  std::FILE *File = nullptr;
+  JsonlStream Stream;
   uint64_t IntervalMs = Sampler::DefaultIntervalMs;
   uint64_t Samples = 0;
   MetricsSnapshot Prev;
@@ -46,11 +42,7 @@ struct SamplerState {
   std::vector<Series> SeriesList;
   size_t NextSeriesId = 1;
   std::chrono::steady_clock::time_point Epoch;
-
-  std::thread Worker;
-  std::mutex WorkerM;
-  std::condition_variable WorkerCv;
-  bool WorkerStop = false;
+  PeriodicThread Ticker;
 };
 
 SamplerState &state() {
@@ -107,32 +99,10 @@ void appendSampleLocked(SamplerState &S) {
   S.Prev = Snap;
   ++S.Samples;
   Metrics::count(Metric::SamplerSamples);
+  S.Stream.writeLine(Line);
   if (S.Recent.size() == MaxRecentSamples)
     S.Recent.pop_front();
-  S.Recent.push_back(Line);
-  if (S.File) {
-    std::fwrite(Line.data(), 1, Line.size(), S.File);
-    std::fputc('\n', S.File);
-    std::fflush(S.File);
-  }
-}
-
-void workerLoop(uint64_t IntervalMs) {
-  SamplerState &S = state();
-  std::unique_lock<std::mutex> Lock(S.WorkerM);
-  while (!S.WorkerStop) {
-    S.WorkerCv.wait_for(Lock, std::chrono::milliseconds(IntervalMs),
-                        [&S] { return S.WorkerStop; });
-    if (S.WorkerStop)
-      break;
-    Lock.unlock();
-    {
-      std::lock_guard<std::mutex> StateLock(S.M);
-      if (S.Enabled.load(std::memory_order_relaxed))
-        appendSampleLocked(S);
-    }
-    Lock.lock();
-  }
+  S.Recent.push_back(std::move(Line));
 }
 
 } // namespace
@@ -154,39 +124,20 @@ bool Sampler::start(uint64_t IntervalMs, const std::string &Path) {
     if (!Metrics::enabled())
       Metrics::enable();
     S.Prev = Metrics::snapshot();
-    if (!Path.empty()) {
-      S.File = std::fopen(Path.c_str(), "w");
-      FileOk = S.File != nullptr;
-      if (S.File) {
-        std::string Header =
-            "{\"schema\": \"pdt-timeseries-v1\", \"interval_ms\": " +
-            std::to_string(IntervalMs) + ", \"build\": " + buildInfoJson() +
-            "}\n";
-        std::fwrite(Header.data(), 1, Header.size(), S.File);
-        std::fflush(S.File);
-      }
-    }
+    if (!Path.empty())
+      FileOk = S.Stream.open(
+          Path, "{\"schema\": \"pdt-timeseries-v1\", \"interval_ms\": " +
+                    std::to_string(IntervalMs) +
+                    ", \"build\": " + buildInfoJson() + "}");
     S.Enabled.store(true, std::memory_order_relaxed);
   }
-  if (IntervalMs) {
-    std::lock_guard<std::mutex> Lock(S.WorkerM);
-    S.WorkerStop = false;
-    S.Worker = std::thread(workerLoop, IntervalMs);
-  }
+  S.Ticker.start(IntervalMs, sampleOnceForTest);
   return FileOk;
 }
 
 void Sampler::stop() {
   SamplerState &S = state();
-  std::thread Worker;
-  {
-    std::lock_guard<std::mutex> Lock(S.WorkerM);
-    S.WorkerStop = true;
-    Worker = std::move(S.Worker);
-  }
-  S.WorkerCv.notify_all();
-  if (Worker.joinable())
-    Worker.join();
+  S.Ticker.stop();
   std::lock_guard<std::mutex> Lock(S.M);
   if (S.Enabled.load(std::memory_order_relaxed)) {
     // One final sample so short runs (and every stop) leave at least
@@ -194,10 +145,7 @@ void Sampler::stop() {
     appendSampleLocked(S);
     S.Enabled.store(false, std::memory_order_relaxed);
   }
-  if (S.File) {
-    std::fclose(S.File);
-    S.File = nullptr;
-  }
+  S.Stream.close();
 }
 
 void Sampler::sampleOnceForTest() {
@@ -237,28 +185,3 @@ std::vector<std::string> Sampler::recentLines() {
   std::lock_guard<std::mutex> Lock(S.M);
   return {S.Recent.begin(), S.Recent.end()};
 }
-
-void Sampler::initFromEnvironment() {
-  static bool Done = false;
-  if (Done)
-    return;
-  Done = true;
-  std::optional<int64_t> Interval = envInt("PDT_SAMPLE_MS", 1, 3600000);
-  std::optional<std::string> Path = envPath("PDT_SAMPLE");
-  if (!Interval && !Path)
-    return;
-  uint64_t IntervalMs =
-      Interval ? static_cast<uint64_t>(*Interval) : DefaultIntervalMs;
-  if (!Sampler::start(IntervalMs, Path ? *Path : std::string()))
-    std::fprintf(stderr, "pdt: warning: cannot open PDT_SAMPLE file %s\n",
-                 Path->c_str());
-  // Normal exits take the final sample and close the stream; crashes
-  // keep every line already flushed.
-  std::atexit([] { Sampler::stop(); });
-}
-
-namespace {
-/// Arms PDT_SAMPLE_MS before main, mirroring Trace/Metrics.
-[[maybe_unused]] const bool SamplerEnvInitialized =
-    (Sampler::initFromEnvironment(), true);
-} // namespace

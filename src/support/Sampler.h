@@ -62,7 +62,7 @@ public:
   /// Takes one final sample, stops the thread, closes the file.
   static void stop();
 
-  /// Takes one sample immediately (same code path as the thread).
+  /// Takes one sample immediately; the sampling thread calls it too.
   static void sampleOnceForTest();
 
   /// Publishes a custom series; returns an id for unregisterSeries.
@@ -75,10 +75,6 @@ public:
 
   /// The most recent sample lines (bounded ring; header excluded).
   static std::vector<std::string> recentLines();
-
-  /// Arms from PDT_SAMPLE_MS / PDT_SAMPLE. Called once before main;
-  /// exposed for tests.
-  static void initFromEnvironment();
 };
 
 } // namespace pdt

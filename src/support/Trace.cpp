@@ -7,16 +7,14 @@
 
 #include "support/Trace.h"
 
-#include "support/CrashSafety.h"
-#include "support/Env.h"
 #include "support/FlightRecorder.h"
 #include "support/Metrics.h"
 #include "support/RequestContext.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -266,17 +264,7 @@ std::vector<TraceEvent> Trace::snapshot() {
     uint32_t N = Buffer->Size.load(std::memory_order_acquire);
     All.insert(All.end(), Buffer->Events.begin(), Buffer->Events.begin() + N);
   }
-  // Per thread, parents start no later than their children and end no
-  // earlier, so (start ascending, duration descending) lists every
-  // parent before its children.
-  std::sort(All.begin(), All.end(),
-            [](const TraceEvent &A, const TraceEvent &B) {
-              if (A.Tid != B.Tid)
-                return A.Tid < B.Tid;
-              if (A.StartNs != B.StartNs)
-                return A.StartNs < B.StartNs;
-              return A.DurationNs > B.DurationNs;
-            });
+  std::sort(All.begin(), All.end(), spanPrecedes);
   return All;
 }
 
@@ -349,34 +337,9 @@ bool Trace::writeTo(const std::string &Path) {
   return File.good();
 }
 
-void Trace::initFromEnvironment() {
-  static bool Done = false;
-  if (Done)
-    return;
-  Done = true;
-  // The cap applies to any armed full trace (PDT_TRACE here or a
-  // programmatic start), so parse it before the arming decision.
-  if (std::optional<int64_t> Cap =
-          envInt("PDT_TRACE_MAX_SPANS", 1024, int64_t(1) << 28))
-    setMaxSpansPerThread(static_cast<uint32_t>(*Cap));
-  std::optional<std::string> Path = envPath("PDT_TRACE");
-  if (!Path)
-    return;
-  if (Trace::start(std::move(*Path))) {
-    std::atexit([] { Trace::stop(); });
-    // An aborting run skips atexit; the crash-flush registry covers
-    // std::terminate and SIGABRT so the trace survives those too.
-    registerCrashFlush("PDT_TRACE", [] {
-      if (Trace::enabled())
-        Trace::stop();
-    });
-  }
-}
-
 namespace {
-/// Arms PDT_TRACE before main so whole-process runs need no code
-/// changes. Reading one env var at static-init time is safe: no other
-/// pdt state is touched unless the variable is actually set.
-[[maybe_unused]] const bool TraceEnvInitialized =
-    (Trace::initFromEnvironment(), true);
+/// Arms every PDT_* telemetry sink before main. It runs from this file
+/// because every instrumented binary links it through pdt::Span.
+[[maybe_unused]] const bool TelemetryArmed =
+    (armTelemetryFromEnvironment(), true);
 } // namespace

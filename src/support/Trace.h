@@ -24,8 +24,9 @@
 ///
 /// Arming is programmatic (Trace::start / Trace::stop, used by the
 /// tests and benches) or via the environment: PDT_TRACE=out.json
-/// writes the trace at process exit. Span names must be string
-/// literals (they are stored, not copied).
+/// writes the trace at process exit (support/Telemetry.h arms every
+/// PDT_* sink). Span names must be string literals (they are stored,
+/// not copied).
 ///
 /// Spans have two consumers behind one capture gate: the full
 /// per-thread buffers here (every span kept, bounded only by the
@@ -66,6 +67,19 @@ struct TraceEvent {
   int64_t DurationNs = 0;
 };
 
+/// The order of Trace::snapshot and FlightRecorder::snapshot, which
+/// Profile::build walks: by thread, then start ascending, then
+/// duration descending. Per thread a parent starts no later than its
+/// children and ends no earlier, so every parent precedes its
+/// children.
+inline bool spanPrecedes(const TraceEvent &A, const TraceEvent &B) {
+  if (A.Tid != B.Tid)
+    return A.Tid < B.Tid;
+  if (A.StartNs != B.StartNs)
+    return A.StartNs < B.StartNs;
+  return A.DurationNs > B.DurationNs;
+}
+
 /// Global trace control. All members are static; the collector behind
 /// them owns one buffer per thread that ever finished a span.
 class Trace {
@@ -105,8 +119,7 @@ public:
   static void clear();
 
   /// All buffered events, merged across threads and sorted by
-  /// (thread, start time, longest-first). Exposed for the nesting and
-  /// layer-coverage tests.
+  /// spanPrecedes. Exposed for the nesting and layer-coverage tests.
   static std::vector<TraceEvent> snapshot();
 
   /// Renders \p Events as a Chrome trace-event JSON document.
@@ -134,12 +147,6 @@ public:
   /// recorder's dump so the two artifacts stay format-identical.
   static void appendEventsJson(std::string &Out,
                                const std::vector<TraceEvent> &Events);
-
-  /// Arms tracing from PDT_TRACE and the span cap from
-  /// PDT_TRACE_MAX_SPANS (hardened parsing: a present-but-empty value
-  /// warns and stays disarmed). Called once automatically before main
-  /// via a static initializer; exposed for tests.
-  static void initFromEnvironment();
 
 private:
   friend class Span;

@@ -7,72 +7,20 @@
 
 #include "support/Watchdog.h"
 
+#include "support/Env.h"
 #include "support/EventLog.h"
 #include "support/FlightRecorder.h"
 #include "support/Metrics.h"
+#include "support/Telemetry.h"
 #include "support/Trace.h"
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 using namespace pdt;
-
-namespace {
-
-bool parseSpecImpl(const std::string &Spec, bool &On, double &Factor,
-                   uint64_t &QuietMs) {
-  std::vector<std::string> Parts;
-  size_t Pos = 0;
-  while (true) {
-    size_t Comma = Spec.find(',', Pos);
-    Parts.push_back(Spec.substr(Pos, Comma - Pos));
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-  if (Parts.empty() || Parts.size() > 3)
-    return false;
-  if (Parts[0] == "off")
-    return Parts.size() == 1 ? (On = false, true) : false;
-  if (Parts[0] != "on")
-    return false;
-  double F = 0;
-  if (Parts.size() >= 2) {
-    const std::string &P = Parts[1];
-    char *End = nullptr;
-    F = std::strtod(P.c_str(), &End);
-    if (P.empty() || !End || *End || F < 1.0 || F > 1000.0)
-      return false;
-  }
-  uint64_t Q = 0;
-  if (Parts.size() == 3) {
-    const std::string &P = Parts[2];
-    if (P.empty() || P.size() > 9)
-      return false;
-    for (char C : P) {
-      if (!std::isdigit(static_cast<unsigned char>(C)))
-        return false;
-      Q = Q * 10 + static_cast<uint64_t>(C - '0');
-    }
-    if (Q == 0)
-      return false;
-  }
-  On = true;
-  if (F > 0)
-    Factor = F;
-  if (Q > 0)
-    QuietMs = Q;
-  return true;
-}
-
-} // namespace
 
 namespace pdt::detail {
 
@@ -101,11 +49,7 @@ struct WatchdogState {
   uint64_t QuietMs = Watchdog::DefaultQuietMs;
   std::atomic<uint64_t> Stalls{0};
   std::atomic<uint64_t (*)()> ClockMs{nullptr};
-
-  std::thread Monitor;
-  std::mutex MonitorM;
-  std::condition_variable MonitorCv;
-  bool MonitorStop = false;
+  PeriodicThread Monitor;
 };
 
 WatchdogState &state() {
@@ -165,20 +109,6 @@ unsigned pollOnce() {
   return NewStalls;
 }
 
-void monitorLoop(uint64_t PollMs) {
-  WatchdogState &S = state();
-  std::unique_lock<std::mutex> Lock(S.MonitorM);
-  while (!S.MonitorStop) {
-    S.MonitorCv.wait_for(Lock, std::chrono::milliseconds(PollMs),
-                         [&S] { return S.MonitorStop; });
-    if (S.MonitorStop)
-      break;
-    Lock.unlock();
-    pollOnce();
-    Lock.lock();
-  }
-}
-
 } // namespace
 
 Heartbeat::Heartbeat(const char *Stage, uint64_t QuietMs) {
@@ -230,26 +160,14 @@ bool Watchdog::start(double StallFactor, uint64_t QuietMs, uint64_t PollMs) {
   if (!EventLog::enabled())
     EventLog::start("");
   S.Enabled.store(true, std::memory_order_relaxed);
-  if (PollMs) {
-    std::lock_guard<std::mutex> Lock(S.MonitorM);
-    S.MonitorStop = false;
-    S.Monitor = std::thread(monitorLoop, PollMs);
-  }
+  S.Monitor.start(PollMs, [] { pollOnce(); });
   return true;
 }
 
 void Watchdog::stop() {
   WatchdogState &S = state();
   S.Enabled.store(false, std::memory_order_relaxed);
-  std::thread Monitor;
-  {
-    std::lock_guard<std::mutex> Lock(S.MonitorM);
-    S.MonitorStop = true;
-    Monitor = std::move(S.Monitor);
-  }
-  S.MonitorCv.notify_all();
-  if (Monitor.joinable())
-    Monitor.join();
+  S.Monitor.stop();
 }
 
 uint64_t Watchdog::stallCount() {
@@ -264,37 +182,33 @@ void Watchdog::setClockForTest(uint64_t (*NowMs)()) {
 
 bool Watchdog::parseSpec(const std::string &Spec, bool &On, double &Factor,
                          uint64_t &QuietMs) {
-  return parseSpecImpl(Spec, On, Factor, QuietMs);
-}
-
-void Watchdog::initFromEnvironment() {
-  static bool Done = false;
-  if (Done)
-    return;
-  Done = true;
-  const char *Spec = std::getenv("PDT_WATCHDOG");
-  if (!Spec || !*Spec)
-    return;
-  bool On = false;
-  double Factor = DefaultStallFactor;
-  uint64_t QuietMs = DefaultQuietMs;
-  if (!parseSpec(Spec, On, Factor, QuietMs)) {
-    std::fprintf(stderr,
-                 "pdt: warning: malformed PDT_WATCHDOG value '%s' "
-                 "(expected on[,factor[,quiet_ms]] or off); watchdog "
-                 "stays disarmed\n",
-                 Spec);
-    return;
+  bool IsOn = false;
+  std::vector<std::string> Args;
+  if (!splitSwitchSpec(Spec, IsOn, Args))
+    return false;
+  double F = 0;
+  if (!Args.empty()) {
+    char *End = nullptr;
+    F = std::strtod(Args[0].c_str(), &End);
+    if (Args[0].empty() || *End || F < 1.0 || F > 1000.0)
+      return false;
   }
-  if (!On)
-    return;
-  Watchdog::start(Factor, QuietMs);
-  // The monitor thread must not outlive main's static teardown.
-  std::atexit([] { Watchdog::stop(); });
+  uint64_t Q = 0;
+  if (Args.size() == 2) {
+    if (Args[1].empty() || Args[1].size() > 9)
+      return false;
+    for (char C : Args[1]) {
+      if (!std::isdigit(static_cast<unsigned char>(C)))
+        return false;
+      Q = Q * 10 + static_cast<uint64_t>(C - '0');
+    }
+    if (Q == 0)
+      return false;
+  }
+  On = IsOn;
+  if (F > 0)
+    Factor = F;
+  if (Q > 0)
+    QuietMs = Q;
+  return true;
 }
-
-namespace {
-/// Arms PDT_WATCHDOG before main, mirroring Trace/Metrics.
-[[maybe_unused]] const bool WatchdogEnvInitialized =
-    (Watchdog::initFromEnvironment(), true);
-} // namespace

@@ -96,14 +96,10 @@ public:
   static void setClockForTest(uint64_t (*NowMs)());
 
   /// Parses a PDT_WATCHDOG spec: "on", "off", "on,<factor>",
-  /// "on,<factor>,<quiet_ms>". Returns false on malformed input.
-  /// Exposed for EnvTest.
+  /// "on,<factor>,<quiet_ms>". Returns false on malformed input. Used
+  /// by support/Telemetry.h; exposed for EnvTest.
   static bool parseSpec(const std::string &Spec, bool &On, double &Factor,
                         uint64_t &QuietMs);
-
-  /// Arms from PDT_WATCHDOG. Called once before main; exposed for
-  /// tests.
-  static void initFromEnvironment();
 };
 
 } // namespace pdt

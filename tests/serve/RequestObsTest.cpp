@@ -29,11 +29,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace pdt;
 using namespace pdt::serve;
@@ -295,6 +299,43 @@ TEST(RequestObs, AccessLogDisarmedIsANoOp) {
   EXPECT_FALSE(AccessLog::enabled());
   Service S;
   EXPECT_EQ(S.handle(makeRequest("GET", "/healthz")).Status, 200);
+}
+
+TEST(RequestObsDeath, AccessLogArmsFromTheEnvironment) {
+  // The child re-executes this binary, so PDT_ACCESS_LOG reaches its
+  // static initialization. The path carries the parent's pid: the child
+  // re-runs this body and must not unlink the log its arming opened.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::string Path =
+      tempPath("env_access." + std::to_string(getpid()) + ".jsonl");
+  std::remove(Path.c_str());
+  setenv("PDT_ACCESS_LOG", Path.c_str(), 1);
+  EXPECT_EXIT(
+      {
+        AccessRecord R;
+        R.Id = "env-armed";
+        R.Route = "GET /healthz";
+        R.Status = 200;
+        AccessLog::append(R);
+        std::exit(AccessLog::enabled() && AccessLog::linesWritten() == 1 ? 0
+                                                                         : 1);
+      },
+      testing::ExitedWithCode(0), "");
+  unsetenv("PDT_ACCESS_LOG");
+
+  std::ifstream File(Path);
+  std::string Header;
+  ASSERT_TRUE(std::getline(File, Header)) << "missing " << Path;
+  std::optional<json::Value> H = json::parse(Header);
+  ASSERT_TRUE(H.has_value()) << Header;
+  EXPECT_NE(H->find("build"), nullptr);
+  EXPECT_TRUE(H->stringAt("start").has_value());
+  std::vector<json::Value> Lines = jsonlLines(Path);
+  ASSERT_EQ(Lines.size(), 1u);
+  EXPECT_EQ(Lines[0].stringAt("id").value_or(""), "env-armed");
+  EXPECT_EQ(Lines[0].stringAt("route").value_or(""), "GET /healthz");
+  EXPECT_EQ(Lines[0].uintAt("status").value_or(0), 200u);
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

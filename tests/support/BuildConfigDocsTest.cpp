@@ -19,8 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <regex>
 #include <set>
@@ -149,4 +151,37 @@ TEST(BuildConfigDocs, ReadmeEnvironmentTableListsExactlyTheKnobsTheCodeReads) {
       Sources, R"re(\b(?:envInt|envPath|envChoice|getenv)\(\s*"(PDT_\w+)")re");
   ASSERT_FALSE(Read.empty()) << "found no PDT_* environment read";
   EXPECT_EQ(readmeEnvironmentTable(), Read);
+}
+
+TEST(BuildConfigDocs, EveryKnobUnderSrcIsReadAtOneSite) {
+  // A second read of a knob is a second arming path, free to disagree
+  // with the first on order, parsing, or whether a binary links it at
+  // all. (A tool may read a knob again to pick its own mode, as
+  // examples/depfuzz.cpp does with PDT_FAULT_INJECT; that is outside
+  // src/.)
+  std::map<std::string, std::vector<std::string>> Sites;
+  std::regex Read(
+      R"re(\b(?:envInt|envPath|envChoice|getenv)\(\s*"(PDT_\w+)")re");
+  std::filesystem::path Src = std::filesystem::path(PDT_REPO_ROOT) / "src";
+  for (const std::filesystem::directory_entry &Entry :
+       std::filesystem::recursive_directory_iterator(Src)) {
+    if (!Entry.is_regular_file() || (Entry.path().extension() != ".cpp" &&
+                                     Entry.path().extension() != ".h"))
+      continue;
+    std::string Text = readFile(Entry.path());
+    for (std::sregex_iterator I(Text.begin(), Text.end(), Read), E; I != E;
+         ++I) {
+      auto Line = std::count(Text.begin(), Text.begin() + I->position(), '\n');
+      Sites[(*I)[1]].push_back(
+          std::filesystem::relative(Entry.path(), Src).string() + ":" +
+          std::to_string(Line + 1));
+    }
+  }
+  ASSERT_FALSE(Sites.empty()) << "found no PDT_* environment read under src/";
+  for (const auto &[Name, Where] : Sites) {
+    std::string List;
+    for (const std::string &Site : Where)
+      List += " " + Site;
+    EXPECT_EQ(Where.size(), 1u) << Name << " is read at" << List;
+  }
 }

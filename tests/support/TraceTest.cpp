@@ -18,6 +18,7 @@
 #include "core/DependenceTester.h"
 #include "core/FourierMotzkin.h"
 #include "driver/Analyzer.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -316,4 +317,30 @@ TEST(Trace, StartClearsPreviousEvents) {
   Trace::start("");
   EXPECT_TRUE(Trace::snapshot().empty());
   Trace::stop();
+}
+
+TEST(Trace, PerThreadCapDropsAndCountsSpans) {
+  // Past the cap a thread's spans are dropped, never silently: they are
+  // counted in droppedSpans() and the trace.dropped_spans metric, and
+  // start() resets the count.
+  Metrics::enable();
+  Trace::start("");
+  Trace::setMaxSpansPerThread(4);
+  EXPECT_EQ(Trace::maxSpansPerThread(), 4u);
+  for (int I = 0; I != 7; ++I) {
+    Span S("capped", "test");
+  }
+  EXPECT_EQ(Trace::snapshot().size(), 4u);
+  EXPECT_EQ(Trace::droppedSpans(), 3u);
+  EXPECT_STREQ(metricName(Metric::TraceSpanDrops), "trace.dropped_spans");
+  EXPECT_EQ(Metrics::snapshot()
+                .Counters[static_cast<unsigned>(Metric::TraceSpanDrops)],
+            3u);
+
+  Trace::start("");
+  EXPECT_EQ(Trace::droppedSpans(), 0u);
+  Trace::setMaxSpansPerThread(0);
+  EXPECT_EQ(Trace::maxSpansPerThread(), 1u << 20) << "0 restores the default";
+  Trace::stop();
+  Metrics::stop();
 }
