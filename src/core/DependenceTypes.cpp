@@ -8,6 +8,7 @@
 #include "core/DependenceTypes.h"
 
 #include "support/ErrorHandling.h"
+#include "support/Profile.h"
 
 #include <cassert>
 
@@ -145,6 +146,19 @@ const char *pdt::testKindName(TestKind K) {
   }
   pdt_unreachable("covered switch");
 }
+
+namespace {
+/// Names core's TestKind span tags in every profile, PDT_PROFILE's
+/// included. Installed from this file because every binary that
+/// analyses links it for the dependence vectors.
+const char *kindTagName(int Tag) {
+  if (Tag < 0 || Tag >= static_cast<int>(NumTestKinds))
+    return nullptr;
+  return testKindName(static_cast<TestKind>(Tag));
+}
+[[maybe_unused]] const bool KindNamerInstalled =
+    (Profile::setTagNamer(kindTagName), true);
+} // namespace
 
 const char *pdt::dependenceKindName(DependenceKind K) {
   switch (K) {

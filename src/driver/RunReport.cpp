@@ -18,6 +18,7 @@
 #include "support/Metrics.h"
 #include "support/Profile.h"
 #include "support/Sampler.h"
+#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "support/Watchdog.h"
@@ -26,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -53,14 +53,6 @@ Recorder &recorder() {
   // state, potentially after static destruction has begun.
   static Recorder *R = new Recorder;
   return *R;
-}
-
-/// The Profile tag-name bridge: support stores plain int tags, the
-/// driver knows they are TestKind enumerators.
-const char *kindTagName(int Tag) {
-  if (Tag < 0 || Tag >= static_cast<int>(NumTestKinds))
-    return nullptr;
-  return testKindName(static_cast<TestKind>(Tag));
 }
 
 void appendStats(std::string &Out, const TestStats &S) {
@@ -263,7 +255,7 @@ std::string RunReport::render() {
     MetricsJson.pop_back();
   Out += "\"metrics\": " + MetricsJson;
 
-  Profile P = Profile::fromTrace(kindTagName);
+  Profile P = Profile::fromTrace();
   if (P.NumEvents != 0) {
     std::string ProfileJson = P.toJson();
     while (!ProfileJson.empty() && ProfileJson.back() == '\n')
@@ -279,12 +271,7 @@ std::string RunReport::render() {
 }
 
 bool RunReport::writeTo(const std::string &Path) {
-  std::ofstream File(Path);
-  if (!File)
-    return false;
-  File << render();
-  File.flush();
-  return File.good();
+  return writeFile(Path, render());
 }
 
 namespace {
@@ -293,10 +280,6 @@ namespace {
 /// report always carries counters. support/Telemetry.h, which arms the
 /// support sinks, cannot see the driver.
 [[maybe_unused]] const bool ReportArmed = [] {
-  // Install the TestKind namer bridge unconditionally: env-armed
-  // profiles (PDT_PROFILE) should get symbolic kind names whenever
-  // the driver is linked in.
-  Profile::setTagNamer(kindTagName);
   std::optional<std::string> Path = envPath("PDT_REPORT");
   if (!Path)
     return true;

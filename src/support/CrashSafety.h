@@ -24,9 +24,10 @@
 /// that turns into an abort does not double-write.
 ///
 /// Hooks must be safe to call from a crashing context: no allocation
-/// guarantees are made for them (ours buffer in memory and write with
-/// ofstream — technically not async-signal-safe, which is the usual,
-/// deliberate trade for crash diagnostics).
+/// guarantees are made for them (ours render in memory, which is
+/// technically not async-signal-safe, and write with writeFile() from
+/// support/Telemetry.h — the usual, deliberate trade for crash
+/// diagnostics).
 ///
 //===----------------------------------------------------------------------===//
 

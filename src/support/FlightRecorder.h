@@ -6,27 +6,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The always-on flight recorder: one fixed-capacity ring buffer of
-/// TraceEvents per thread, continuously overwriting the oldest spans
-/// so memory stays bounded no matter how long the process runs — the
-/// black-box counterpart to PDT_TRACE's keep-everything buffers. Armed
-/// via PDT_FLIGHT=on[,bytes[,path]] or FlightRecorder::start(); spans
-/// flow in through the same pdt::Span gate as full tracing
+/// The always-on flight recorder: one fixed-capacity ring of
+/// TraceEvents per thread, continuously overwriting the oldest spans —
+/// the black-box counterpart to PDT_TRACE's keep-everything trace.
+/// Armed via PDT_FLIGHT=on[,bytes[,path]] or FlightRecorder::start();
+/// spans flow in through the same pdt::Span gate as full tracing
 /// (Trace::CaptureFlight).
 ///
+/// The ring is the FlightSpans SpanRing of the thread's ThreadTelemetry
+/// state (support/Telemetry.h), the same type the full trace uses.
 /// Ring invariants (checked by FlightRecorderTest under 1/4/8-thread
 /// contention):
 ///
 ///   * single writer per ring: the owning thread stores the slot as
 ///     relaxed atomics, then publishes Count with a release store — no
-///     locks, no RMW on the record path;
+///     RMW, and no lock but the one taken when a thread's first span
+///     after a start() remakes its ring;
 ///   * Count is monotonic; Overwritten == max(0, Count - Capacity);
-///   * snapshot() is lock-free against writers: it copies the window
+///   * snapshot() is lock-free against pushes: it copies the window
 ///     [Count - min(Count, Cap), Count) under an acquire load, then
 ///     re-reads Count and discards any slot a writer could have
 ///     reused during the copy, so a returned event is never torn;
-///   * memory in use is exactly Threads * Capacity * sizeof(TraceEvent)
-///     (bench_x9_monitor asserts the configured bound).
+///   * memory in use is Threads * Capacity * sizeof(TraceEvent), where
+///     Threads counts the rings written since the last start()
+///     (bench_x9_monitor asserts the configured bound). An exited
+///     thread's ring passes to the next thread that asks, so Threads
+///     follows the peak number of live threads, not every thread the
+///     process ever started.
 ///
 /// Dumps are Chrome-trace JSON (same event format as PDT_TRACE, plus a
 /// "flightRecorder" header with stats and build info), written on
@@ -58,11 +64,12 @@ public:
   /// Arms the recorder: every thread that records a span from now on
   /// gets a ring of \p BytesPerThread bytes. \p DumpPath (empty keeps
   /// the previous / default "pdt-flight.json") is where postmortem
-  /// dumps land. Discards previously buffered events.
+  /// dumps land. Discards previously recorded events: every ring is
+  /// remade at the new size before its thread's next span.
   static bool start(size_t BytesPerThread = DefaultBytesPerThread,
                     std::string DumpPath = "");
 
-  /// Disarms; buffered events stay readable until the next start().
+  /// Disarms; recorded events stay readable until the next start().
   static void stop();
 
   /// Appends one finished span to the calling thread's ring. Called by
@@ -77,7 +84,7 @@ public:
     uint64_t Recorded = 0;    ///< Spans ever pushed (monotonic).
     uint64_t Overwritten = 0; ///< Spans lost to ring wraparound.
     uint64_t BytesInUse = 0;  ///< Slots allocated across all rings.
-    uint32_t Threads = 0;     ///< Rings (threads that recorded).
+    uint32_t Threads = 0;     ///< Rings written since start().
     uint32_t SlotsPerThread = 0;
   };
   static Stats stats();

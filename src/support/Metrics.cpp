@@ -8,14 +8,13 @@
 #include "support/Metrics.h"
 
 #include "support/ErrorHandling.h"
+#include "support/Telemetry.h"
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
-#include <fstream>
-#include <memory>
-#include <mutex>
-#include <vector>
+#include <type_traits>
 
 using namespace pdt;
 
@@ -182,62 +181,22 @@ double MetricsSnapshot::Histogram::quantileNs(double Q) const {
 
 namespace {
 
-/// One thread's metric cells. The owning thread is the only writer
-/// (plain relaxed read-modify-write, no RMW instructions needed);
-/// snapshot() reads the cells with relaxed loads from any thread.
-struct MetricsShard {
-  std::array<std::atomic<uint64_t>, NumMetrics> Counters{};
-  std::array<std::atomic<uint64_t>, NumGauges> Gauges{};
-  struct HistoCells {
-    std::atomic<uint64_t> Count{0};
-    std::atomic<uint64_t> SumNs{0};
-    std::atomic<uint64_t> MaxNs{0};
-    std::array<std::atomic<uint64_t>, HistoBuckets> Buckets{};
-  };
-  std::array<HistoCells, NumHistos> Histograms{};
-
-  void reset() {
-    for (auto &C : Counters)
-      C.store(0, std::memory_order_relaxed);
-    for (auto &G : Gauges)
-      G.store(0, std::memory_order_relaxed);
-    for (HistoCells &H : Histograms) {
-      H.Count.store(0, std::memory_order_relaxed);
-      H.SumNs.store(0, std::memory_order_relaxed);
-      H.MaxNs.store(0, std::memory_order_relaxed);
-      for (auto &B : H.Buckets)
-        B.store(0, std::memory_order_relaxed);
-    }
-  }
-};
-
-struct MetricsCollector {
-  std::mutex M;
-  std::vector<std::shared_ptr<MetricsShard>> Shards;
-  std::string Path;
-};
-
-MetricsCollector &metricsCollector() {
-  // Immortal, like the trace collector: exit-time report writers may
-  // snapshot metrics after this TU's static destructors would have
-  // run.
-  static MetricsCollector *C = new MetricsCollector;
-  return *C;
+/// Where stop() writes; guarded by ThreadTelemetry::lock(). Immortal:
+/// exit-time report writers may run after static destruction began.
+std::string &metricsPath() {
+  static std::string *Path = new std::string;
+  return *Path;
 }
 
-MetricsShard &threadShard() {
-  thread_local std::shared_ptr<MetricsShard> Shard = [] {
-    auto S = std::make_shared<MetricsShard>();
-    MetricsCollector &C = metricsCollector();
-    std::lock_guard<std::mutex> Lock(C.M);
-    C.Shards.push_back(S);
-    return S;
-  }();
-  return *Shard;
+/// The calling thread's cell of the MetricsSnapshot field \p Offset
+/// bytes in (offsetof needs the standard layout).
+static_assert(std::is_standard_layout_v<MetricsSnapshot>);
+std::atomic<uint64_t> &cell(size_t Offset) {
+  return ThreadTelemetry::local().MetricCells.W[Offset / sizeof(uint64_t)];
 }
 
 /// Single-writer relaxed increment: cheaper than a fetch_add and race-
-/// free because only the owning thread stores to its shard.
+/// free because only the thread holding the state stores to its cells.
 void relaxedAdd(std::atomic<uint64_t> &Cell, uint64_t N) {
   Cell.store(Cell.load(std::memory_order_relaxed) + N,
              std::memory_order_relaxed);
@@ -251,31 +210,36 @@ void relaxedMax(std::atomic<uint64_t> &Cell, uint64_t V) {
 } // namespace
 
 void Metrics::countImpl(Metric M, uint64_t N) {
-  relaxedAdd(threadShard().Counters[static_cast<unsigned>(M)], N);
+  relaxedAdd(cell(offsetof(MetricsSnapshot, Counters) +
+                  static_cast<unsigned>(M) * sizeof(uint64_t)),
+             N);
 }
 
 void Metrics::gaugeMaxImpl(Gauge G, uint64_t Value) {
-  relaxedMax(threadShard().Gauges[static_cast<unsigned>(G)], Value);
+  relaxedMax(cell(offsetof(MetricsSnapshot, Gauges) +
+                  static_cast<unsigned>(G) * sizeof(uint64_t)),
+             Value);
 }
 
 void Metrics::observeImpl(Histo H, uint64_t Ns) {
-  MetricsShard::HistoCells &Cells =
-      threadShard().Histograms[static_cast<unsigned>(H)];
-  relaxedAdd(Cells.Count, 1);
-  relaxedAdd(Cells.SumNs, Ns);
-  relaxedMax(Cells.MaxNs, Ns);
+  using Histogram = MetricsSnapshot::Histogram;
+  size_t At = offsetof(MetricsSnapshot, Histograms) +
+              static_cast<unsigned>(H) * sizeof(Histogram);
+  relaxedAdd(cell(At + offsetof(Histogram, Count)), 1);
+  relaxedAdd(cell(At + offsetof(Histogram, SumNs)), Ns);
+  relaxedMax(cell(At + offsetof(Histogram, MaxNs)), Ns);
   unsigned Bucket = std::bit_width(Ns);
   if (Bucket >= HistoBuckets)
     Bucket = HistoBuckets - 1;
-  relaxedAdd(Cells.Buckets[Bucket], 1);
+  relaxedAdd(
+      cell(At + offsetof(Histogram, Buckets) + Bucket * sizeof(uint64_t)), 1);
 }
 
 bool Metrics::enable(std::string Path) {
   reset();
   {
-    MetricsCollector &C = metricsCollector();
-    std::lock_guard<std::mutex> Lock(C.M);
-    C.Path = std::move(Path);
+    std::lock_guard<std::mutex> Lock(ThreadTelemetry::lock());
+    metricsPath() = std::move(Path);
   }
   // Touch the span clock so its one-time calibration is paid here, at
   // arming time, not inside the first LatencyTimer.
@@ -288,9 +252,8 @@ bool Metrics::stop() {
   EnabledFlag.store(false, std::memory_order_relaxed);
   std::string Path;
   {
-    MetricsCollector &C = metricsCollector();
-    std::lock_guard<std::mutex> Lock(C.M);
-    Path = C.Path;
+    std::lock_guard<std::mutex> Lock(ThreadTelemetry::lock());
+    Path = metricsPath();
   }
   if (Path.empty())
     return true;
@@ -298,33 +261,16 @@ bool Metrics::stop() {
 }
 
 void Metrics::reset() {
-  MetricsCollector &C = metricsCollector();
-  std::lock_guard<std::mutex> Lock(C.M);
-  for (const std::shared_ptr<MetricsShard> &S : C.Shards)
-    S->reset();
+  std::lock_guard<std::mutex> Lock(ThreadTelemetry::lock());
+  for (ThreadTelemetry *State : ThreadTelemetry::all())
+    State->MetricCells.store(MetricsSnapshot());
 }
 
 MetricsSnapshot Metrics::snapshot() {
   MetricsSnapshot Out;
-  MetricsCollector &C = metricsCollector();
-  std::lock_guard<std::mutex> Lock(C.M);
-  for (const std::shared_ptr<MetricsShard> &S : C.Shards) {
-    MetricsSnapshot Part;
-    for (unsigned I = 0; I != NumMetrics; ++I)
-      Part.Counters[I] = S->Counters[I].load(std::memory_order_relaxed);
-    for (unsigned I = 0; I != NumGauges; ++I)
-      Part.Gauges[I] = S->Gauges[I].load(std::memory_order_relaxed);
-    for (unsigned I = 0; I != NumHistos; ++I) {
-      MetricsSnapshot::Histogram &H = Part.Histograms[I];
-      const MetricsShard::HistoCells &Cells = S->Histograms[I];
-      H.Count = Cells.Count.load(std::memory_order_relaxed);
-      H.SumNs = Cells.SumNs.load(std::memory_order_relaxed);
-      H.MaxNs = Cells.MaxNs.load(std::memory_order_relaxed);
-      for (unsigned B = 0; B != HistoBuckets; ++B)
-        H.Buckets[B] = Cells.Buckets[B].load(std::memory_order_relaxed);
-    }
-    Out.merge(Part);
-  }
+  std::lock_guard<std::mutex> Lock(ThreadTelemetry::lock());
+  for (ThreadTelemetry *State : ThreadTelemetry::all())
+    Out.merge(State->MetricCells.load());
   return Out;
 }
 
@@ -453,10 +399,5 @@ std::string Metrics::toPrometheus(const MetricsSnapshot &S) {
 }
 
 bool Metrics::writeTo(const std::string &Path) {
-  std::ofstream File(Path);
-  if (!File)
-    return false;
-  File << toJson(snapshot());
-  File.flush();
-  return File.good();
+  return writeFile(Path, toJson(snapshot()));
 }

@@ -10,8 +10,11 @@
 /// analysis pipeline: cache hits and misses, pairs tested, per-test
 /// latency, thread-pool chunk/steal counts and queue depth, budget
 /// consumption, and degraded verdicts by failure kind. Each thread
-/// writes its own shard (plain relaxed stores, single writer), and
-/// shards are merged into a MetricsSnapshot at report time. Every
+/// writes its own shard (plain relaxed stores, single writer), the
+/// MetricCells of its ThreadTelemetry state (support/Telemetry.h), and
+/// shards are merged into a MetricsSnapshot at report time. An exited
+/// thread's shard passes, counts intact, to the next thread that asks,
+/// so the shards follow the peak number of live threads. Every
 /// merge operation is associative and commutative (sums for counters
 /// and histogram cells, max for gauges), so the merged snapshot is
 /// independent of shard order and worker scheduling.
@@ -213,7 +216,7 @@ public:
                 1);
   }
 
-  /// Merges every thread shard; deterministic for a deterministic
+  /// Merges every thread's shard; deterministic for a deterministic
   /// workload (merge is order-independent).
   static MetricsSnapshot snapshot();
 

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Turns the raw per-thread span buffers (support/Trace.h) into an
+/// Turns the raw per-thread span rings (support/Trace.h) into an
 /// attribution profile: who spent the time, not just when. Three
 /// aggregations are computed from one pass over the sorted events:
 ///
@@ -67,7 +67,7 @@ struct ProfileEntry {
 };
 
 /// The aggregated profile. Build one with Profile::build (from any
-/// event list) or Profile::fromTrace (from the live trace buffers).
+/// event list) or Profile::fromTrace (from the live trace rings).
 class Profile {
 public:
   /// Names a kind tag (the int the core layer stored on the span).
@@ -107,9 +107,10 @@ public:
   /// Collapsed flamegraph lines, "path;to;span <selfns>\n" each.
   std::string toCollapsed() const;
 
-  /// Process-wide default tag namer. The driver layer installs the
-  /// TestKind bridge here so env-armed profiles (PDT_PROFILE) get
-  /// symbolic kind names without support depending on core.
+  /// Process-wide default tag namer. Core installs its TestKind names
+  /// here (core/DependenceTypes.cpp), so every profile, PDT_PROFILE's
+  /// included, gets symbolic kind names without support depending on
+  /// core.
   static void setTagNamer(TagNamer Namer);
   static TagNamer tagNamer();
 };

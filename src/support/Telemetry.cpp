@@ -1,4 +1,4 @@
-//===- support/Telemetry.cpp - Arming, JSONL streams, cadence -------------===//
+//===- support/Telemetry.cpp - Shared telemetry substrate -----------------===//
 //
 // Part of the practical-dependence-testing project, released under the
 // MIT license.
@@ -12,19 +12,17 @@
 #include "support/Env.h"
 #include "support/EventLog.h"
 #include "support/FlightRecorder.h"
-#include "support/Metrics.h"
 #include "support/Profile.h"
 #include "support/Sampler.h"
-#include "support/Trace.h"
 #include "support/Watchdog.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fcntl.h>
-#include <fstream>
 #include <unistd.h>
 
 using namespace pdt;
@@ -36,13 +34,9 @@ namespace {
 const std::string *ProfilePath = nullptr;
 
 void writeProfile() {
-  std::ofstream File(*ProfilePath);
-  if (!File) {
+  if (!writeFile(*ProfilePath, Profile::fromTrace().toJson()))
     std::fprintf(stderr, "pdt: warning: cannot write PDT_PROFILE file %s\n",
                  ProfilePath->c_str());
-    return;
-  }
-  File << Profile::fromTrace().toJson();
 }
 
 void warnMalformedSpec(const char *Name, const char *Value,
@@ -51,6 +45,34 @@ void warnMalformedSpec(const char *Name, const char *Value,
                "pdt: warning: malformed %s value '%s' (expected %s or off); "
                "%s stays disarmed\n",
                Name, Value, Expected, Sink);
+}
+
+/// Hands \p Size bytes to the kernel, retrying short and interrupted
+/// writes. False when a write fails (disk full, file gone).
+bool writeAll(int Fd, const char *Data, size_t Size) {
+  for (size_t Done = 0; Done < Size;) {
+    ssize_t N = ::write(Fd, Data + Done, Size - Done);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false;
+    Done += static_cast<size_t>(N);
+  }
+  return true;
+}
+
+/// The registry behind ThreadTelemetry. Immortal (leaked on purpose):
+/// exit-time and crash-time writers walk it after static destruction
+/// may have begun.
+struct Registry {
+  std::mutex M;
+  std::vector<ThreadTelemetry *> All;
+  std::vector<ThreadTelemetry *> Exited; ///< Left by exited threads.
+};
+
+Registry &registry() {
+  static Registry *R = new Registry;
+  return *R;
 }
 
 } // namespace
@@ -143,6 +165,83 @@ void pdt::armTelemetryFromEnvironment() {
   }
 }
 
+void SpanRing::resize(size_t NewCap, bool Keep) {
+  auto NewSlots = std::make_unique<AtomicWords<TraceEvent>[]>(NewCap);
+  uint64_t Kept = Keep ? std::min<uint64_t>(count(), NewCap) : 0;
+  for (uint64_t I = 0; I != Kept; ++I)
+    NewSlots[I].store(Slots[I].load());
+  Slots = std::move(NewSlots);
+  Cap = NewCap;
+  Count.store(Kept, std::memory_order_relaxed);
+}
+
+void SpanRing::push(const TraceEvent &E) {
+  uint64_t N = Count.load(std::memory_order_relaxed);
+  // Seqlock writer: a copy that reads any payload store below also
+  // sees a count of at least N on its re-read, and discards the slot.
+  std::atomic_thread_fence(std::memory_order_release);
+  Slots[N < Cap ? N : N % Cap].store(E);
+  Count.store(N + 1, std::memory_order_release);
+}
+
+void SpanRing::copyWindow(std::vector<TraceEvent> &Out, bool Wraps) const {
+  uint64_t End = Count.load(std::memory_order_acquire);
+  uint64_t Begin = End > Cap ? End - Cap : 0;
+  size_t First = Out.size();
+  for (uint64_t I = Begin; I != End; ++I)
+    Out.push_back(Slots[I % Cap].load());
+  if (!Wraps)
+    return;
+  // The writer kept running during the copy: any slot whose index it
+  // could have reused — published overwrites up to End2, plus the one
+  // unpublished write of index End2 that may be in flight — is
+  // discarded. The fence pairs with the writer's, so End2 covers every
+  // store copied.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  uint64_t End2 = Count.load(std::memory_order_relaxed);
+  uint64_t FirstSafe = End2 >= Cap ? End2 - Cap + 1 : 0;
+  if (FirstSafe > Begin)
+    Out.erase(Out.begin() + First,
+              Out.begin() + First + (std::min(FirstSafe, End) - Begin));
+}
+
+ThreadTelemetry &ThreadTelemetry::adopt() {
+  // Constructed on this thread's first pass, so its destructor runs at
+  // this thread's exit and hands the state on.
+  struct HandBack {
+    ~HandBack() {
+      std::lock_guard<std::mutex> Lock(lock());
+      registry().Exited.push_back(Local);
+      Local = nullptr;
+    }
+  };
+  thread_local HandBack AtExit;
+  std::lock_guard<std::mutex> Lock(lock());
+  Registry &R = registry();
+  if (R.Exited.empty()) {
+    R.All.push_back(new ThreadTelemetry);
+    R.All.back()->Tid = static_cast<uint32_t>(R.All.size() - 1);
+    R.Exited.push_back(R.All.back());
+  }
+  Local = R.Exited.back();
+  R.Exited.pop_back();
+  return *Local;
+}
+
+const std::vector<ThreadTelemetry *> &ThreadTelemetry::all() {
+  return registry().All;
+}
+
+std::mutex &ThreadTelemetry::lock() { return registry().M; }
+
+bool pdt::writeFile(const std::string &Path, std::string_view Contents) {
+  int Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (Fd < 0)
+    return false;
+  bool Written = writeAll(Fd, Contents.data(), Contents.size());
+  return ::close(Fd) == 0 && Written;
+}
+
 bool JsonlStream::open(const std::string &Path, std::string_view Header) {
   close();
   Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
@@ -163,14 +262,7 @@ void JsonlStream::writeLine(std::string_view Line) {
     return;
   Buffer.assign(Line);
   Buffer += '\n';
-  for (size_t Done = 0; Done < Buffer.size();) {
-    ssize_t N = ::write(Fd, Buffer.data() + Done, Buffer.size() - Done);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      return;
-    Done += static_cast<size_t>(N);
-  }
+  writeAll(Fd, Buffer.data(), Buffer.size());
 }
 
 std::string JsonlStream::header(const char *Schema) {

@@ -8,16 +8,12 @@
 #include "support/Trace.h"
 
 #include "support/FlightRecorder.h"
-#include "support/Metrics.h"
 #include "support/RequestContext.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <memory>
-#include <mutex>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
@@ -29,62 +25,20 @@ std::atomic<unsigned> Trace::CaptureFlags{0};
 
 namespace {
 
-/// Per-thread span cap for the full buffers. Long fuzz campaigns used
-/// to grow these without bound; the cap turns that into counted drops.
+/// Per-thread span cap for the full trace. Long fuzz campaigns used
+/// to grow the trace without bound; the cap turns that into counted
+/// drops.
 constexpr uint32_t DefaultMaxSpansPerThread = 1u << 20;
 std::atomic<uint32_t> MaxSpansCap{DefaultMaxSpansPerThread};
 /// Multi-writer (any capped thread), so a real fetch_add — the path is
 /// already off the happy path when it runs.
 std::atomic<uint64_t> DroppedSpanCount{0};
 
-} // namespace
-
-namespace {
-
-/// Events one thread recorded. Single-writer publish: the owning
-/// thread writes Events[N] and then stores Size = N + 1 (release)
-/// without taking the mutex — the armed hot path is two plain stores.
-/// The mutex serializes only the rare structural operations (growth by
-/// the owner, snapshot/clear by the collector); readers load Size
-/// (acquire) under the mutex and copy that stable prefix. The
-/// collector's shared_ptr keeps the buffer alive past thread exit so
-/// helper-thread spans survive until the dump.
-struct ThreadBuffer {
-  std::mutex M;
-  std::vector<TraceEvent> Events = std::vector<TraceEvent>(1024);
-  std::atomic<uint32_t> Size{0};
-  uint32_t Tid = 0;
-};
-
-/// Process-wide registry of thread buffers plus the output path.
-struct Collector {
-  std::mutex M;
-  std::vector<std::shared_ptr<ThreadBuffer>> Buffers;
-  std::string Path;
-
-  std::shared_ptr<ThreadBuffer> registerThread() {
-    auto Buffer = std::make_shared<ThreadBuffer>();
-    std::lock_guard<std::mutex> Lock(M);
-    Buffer->Tid = static_cast<uint32_t>(Buffers.size());
-    Buffers.push_back(Buffer);
-    return Buffer;
-  }
-};
-
-Collector &collector() {
-  // Immortal (leaked on purpose): exit-time flush hooks — the
-  // PDT_REPORT writer, crash flushes — may run after this TU's
-  // static destructors would have fired, so the collector must never
-  // be destroyed. Still reachable through the static pointer, so
-  // LeakSanitizer stays quiet.
-  static Collector *C = new Collector;
-  return *C;
-}
-
-ThreadBuffer &threadBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> Buffer =
-      collector().registerThread();
-  return *Buffer;
+/// Where stop() writes; guarded by ThreadTelemetry::lock(). Immortal:
+/// the exit-time and crash-time writers read it.
+std::string &tracePath() {
+  static std::string *Path = new std::string;
+  return *Path;
 }
 
 /// Escapes a span name for a JSON string literal (names are literals
@@ -96,10 +50,6 @@ void appendEscaped(std::string &Out, const char *S) {
     Out += *S;
   }
 }
-
-} // namespace
-
-namespace {
 
 /// The span clock. steady_clock::now() costs ~30 ns per read through
 /// the vDSO, which alone would blow the < 5% armed-overhead budget
@@ -162,6 +112,15 @@ int64_t Trace::nowNs() {
       .count();
 }
 
+int64_t Trace::spanStartNs() {
+  // A thread takes its state, and the tid that comes with it, before
+  // its first span starts. A state handed on at thread exit therefore
+  // goes only to a thread whose spans all start after the previous
+  // holder's spans ended, so the spans on one tid still nest.
+  ThreadTelemetry::local();
+  return nowNs();
+}
+
 void Trace::setCaptureBit(CaptureBit Bit, bool On) {
   if (On)
     CaptureFlags.fetch_or(Bit, std::memory_order_relaxed);
@@ -188,15 +147,16 @@ void Trace::record(const char *Name, const char *Category, int16_t Kind,
   unsigned Flags = CaptureFlags.load(std::memory_order_relaxed);
   // Request attribution: one thread-local read per recorded span. The
   // token travels with the event into both consumers, so flight slots
-  // and full buffers agree on which request a span served.
-  uint32_t Req = RequestContext::current();
+  // and the full trace agree on which request a span served.
+  TraceEvent E{Name, Category, 0, Kind, RequestContext::current(), StartNs,
+               EndNs - StartNs};
   if (Flags & CaptureFlight)
-    FlightRecorder::record(
-        {Name, Category, 0, Kind, Req, StartNs, EndNs - StartNs});
+    FlightRecorder::record(E);
   if (!(Flags & CaptureFull))
     return;
-  ThreadBuffer &Buffer = threadBuffer();
-  uint32_t N = Buffer.Size.load(std::memory_order_relaxed);
+  ThreadTelemetry &State = ThreadTelemetry::local();
+  SpanRing &Ring = State.TraceSpans;
+  uint64_t N = Ring.count();
   if (N >= MaxSpansCap.load(std::memory_order_relaxed)) {
     // At the cap: the span is dropped, not silently — the count feeds
     // the run report's "flight" section and the trace.dropped_spans
@@ -205,23 +165,21 @@ void Trace::record(const char *Name, const char *Category, int16_t Kind,
     Metrics::count(Metric::TraceSpanDrops);
     return;
   }
-  if (N == Buffer.Events.size()) {
-    // Growth is structural: take the mutex so a concurrent snapshot
-    // never reads across a reallocation.
-    std::lock_guard<std::mutex> Lock(Buffer.M);
-    Buffer.Events.resize(Buffer.Events.size() * 2);
+  if (N == Ring.capacity()) {
+    // Growth reallocates: take the registry lock so a concurrent
+    // snapshot never reads across it.
+    std::lock_guard<std::mutex> Lock(ThreadTelemetry::lock());
+    Ring.resize(N ? 2 * N : 1024, /*Keep=*/true);
   }
-  Buffer.Events[N] = {Name, Category, Buffer.Tid,
-                      Kind, Req,      StartNs,    EndNs - StartNs};
-  Buffer.Size.store(N + 1, std::memory_order_release);
+  E.Tid = State.Tid;
+  Ring.push(E);
 }
 
 bool Trace::start(std::string Path) {
   clear();
   {
-    Collector &C = collector();
-    std::lock_guard<std::mutex> Lock(C.M);
-    C.Path = std::move(Path);
+    std::lock_guard<std::mutex> Lock(ThreadTelemetry::lock());
+    tracePath() = std::move(Path);
   }
   DroppedSpanCount.store(0, std::memory_order_relaxed);
   // Anchor the clock before the first span can observe it.
@@ -234,9 +192,8 @@ bool Trace::stop() {
   setCaptureBit(CaptureFull, false);
   std::string Path;
   {
-    Collector &C = collector();
-    std::lock_guard<std::mutex> Lock(C.M);
-    Path = C.Path;
+    std::lock_guard<std::mutex> Lock(ThreadTelemetry::lock());
+    Path = tracePath();
   }
   if (Path.empty())
     return true;
@@ -247,22 +204,17 @@ void Trace::clear() {
   // Callers disarm (or never armed) before clearing; an owner thread
   // racing a clear may republish its in-flight event, which the next
   // start() clears again.
-  Collector &C = collector();
-  std::lock_guard<std::mutex> Lock(C.M);
-  for (const std::shared_ptr<ThreadBuffer> &Buffer : C.Buffers) {
-    std::lock_guard<std::mutex> BufferLock(Buffer->M);
-    Buffer->Size.store(0, std::memory_order_relaxed);
-  }
+  std::lock_guard<std::mutex> Lock(ThreadTelemetry::lock());
+  for (ThreadTelemetry *State : ThreadTelemetry::all())
+    State->TraceSpans.clear();
 }
 
 std::vector<TraceEvent> Trace::snapshot() {
   std::vector<TraceEvent> All;
-  Collector &C = collector();
-  std::lock_guard<std::mutex> Lock(C.M);
-  for (const std::shared_ptr<ThreadBuffer> &Buffer : C.Buffers) {
-    std::lock_guard<std::mutex> BufferLock(Buffer->M);
-    uint32_t N = Buffer->Size.load(std::memory_order_acquire);
-    All.insert(All.end(), Buffer->Events.begin(), Buffer->Events.begin() + N);
+  {
+    std::lock_guard<std::mutex> Lock(ThreadTelemetry::lock());
+    for (ThreadTelemetry *State : ThreadTelemetry::all())
+      State->TraceSpans.copyWindow(All, /*Wraps=*/false);
   }
   std::sort(All.begin(), All.end(), spanPrecedes);
   return All;
@@ -329,12 +281,7 @@ void Trace::appendEventsJson(std::string &Out,
 }
 
 bool Trace::writeTo(const std::string &Path) {
-  std::ofstream File(Path);
-  if (!File)
-    return false;
-  File << toJson(snapshot());
-  File.flush();
-  return File.good();
+  return writeFile(Path, toJson(snapshot()));
 }
 
 namespace {

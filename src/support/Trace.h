@@ -18,8 +18,8 @@
 ///
 ///   * disarmed (the default): one relaxed atomic load and a
 ///     predictable not-taken branch per span;
-///   * armed: two steady_clock reads and one uncontended thread-local
-///     buffer append per span (< 5% on the x3 workload, enforced by
+///   * armed: two steady_clock reads and one lock-free append to the
+///     thread's own ring per span (< 5% on the x3 workload, enforced by
 ///     bench_x5_observability).
 ///
 /// Arming is programmatic (Trace::start / Trace::stop, used by the
@@ -28,12 +28,15 @@
 /// PDT_* sink). Span names must be string literals (they are stored,
 /// not copied).
 ///
-/// Spans have two consumers behind one capture gate: the full
-/// per-thread buffers here (every span kept, bounded only by the
-/// PDT_TRACE_MAX_SPANS per-thread cap, drops counted) and the
-/// flight recorder's fixed-size rings (support/FlightRecorder.h,
-/// last-N spans at bounded memory). Either, both, or neither may be
-/// armed; the Span fast path stays a single relaxed load.
+/// Spans have two consumers behind one capture gate, and both keep a
+/// thread's spans in the same SpanRing type of that thread's
+/// ThreadTelemetry state (support/Telemetry.h): the full trace here,
+/// whose ring grows to the PDT_TRACE_MAX_SPANS cap and then drops and
+/// counts, and the flight recorder's fixed ring of the last N spans
+/// (support/FlightRecorder.h). Either, both, or neither may be armed;
+/// the Span fast path stays a single relaxed load. A thread's state,
+/// and with it its tid, passes at thread exit to the next thread that
+/// asks, so both caps apply per live thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +50,7 @@
 
 namespace pdt {
 
-/// One finished span, as recorded in a thread buffer and exposed to
+/// One finished span, as recorded in a thread's ring and exposed to
 /// tests through Trace::snapshot(). Times are nanoseconds since the
 /// trace clock anchor. Kind is a small attribution tag (the core layer
 /// stores its TestKind enumerator there, see support/Profile.h);
@@ -80,17 +83,17 @@ inline bool spanPrecedes(const TraceEvent &A, const TraceEvent &B) {
   return A.DurationNs > B.DurationNs;
 }
 
-/// Global trace control. All members are static; the collector behind
-/// them owns one buffer per thread that ever finished a span.
+/// Global trace control. All members are static; the spans live in the
+/// ThreadTelemetry registry's rings.
 class Trace {
 public:
   /// Capture-gate bits: which span consumers are armed.
   enum CaptureBit : unsigned {
-    CaptureFull = 1u << 0,   ///< The full per-thread buffers (PDT_TRACE).
+    CaptureFull = 1u << 0,   ///< The full per-thread trace (PDT_TRACE).
     CaptureFlight = 1u << 1, ///< The flight-recorder rings (PDT_FLIGHT).
   };
 
-  /// True when the full trace buffers are recording.
+  /// True when the full trace is recording.
   static bool enabled() {
     return (CaptureFlags.load(std::memory_order_relaxed) & CaptureFull) != 0;
   }
@@ -106,7 +109,7 @@ public:
   static void setCaptureBit(CaptureBit Bit, bool On);
 
   /// Starts recording; \p Path (may be empty) is where stop() and the
-  /// process-exit hook write the JSON. Clears previously buffered
+  /// process-exit hook write the JSON. Clears previously recorded
   /// events.
   static bool start(std::string Path);
 
@@ -115,10 +118,10 @@ public:
   /// could not be written.
   static bool stop();
 
-  /// Drops every buffered event without writing.
+  /// Drops every recorded event without writing.
   static void clear();
 
-  /// All buffered events, merged across threads and sorted by
+  /// All recorded events, merged across threads and sorted by
   /// spanPrecedes. Exposed for the nesting and layer-coverage tests.
   static std::vector<TraceEvent> snapshot();
 
@@ -131,10 +134,12 @@ public:
   /// Nanoseconds since the process-wide trace clock anchor.
   static int64_t nowNs();
 
-  /// Per-thread span cap for the *full* buffers (the flight rings are
-  /// bounded by construction). A thread that reaches the cap drops
-  /// further spans and counts them; 0 restores the built-in default.
-  /// Env-tunable via PDT_TRACE_MAX_SPANS.
+  /// Per-thread span cap for the *full* trace (the flight rings have
+  /// their own fixed size). A ring that reaches the cap drops further
+  /// spans and counts them; 0 restores the built-in default. A thread
+  /// that takes over an exited thread's ring takes over its spans
+  /// too, so the cap holds per live thread. Env-tunable via
+  /// PDT_TRACE_MAX_SPANS.
   static void setMaxSpansPerThread(uint32_t Cap);
   static uint32_t maxSpansPerThread();
 
@@ -150,6 +155,9 @@ public:
 
 private:
   friend class Span;
+  /// nowNs(), after making sure the calling thread holds its
+  /// ThreadTelemetry state (see the definition).
+  static int64_t spanStartNs();
   static void record(const char *Name, const char *Category, int16_t Kind,
                      int64_t StartNs, int64_t EndNs);
   static std::atomic<unsigned> CaptureFlags;
@@ -169,7 +177,7 @@ public:
       this->Name = Name;
       this->Category = Category;
       Kind = static_cast<int16_t>(KindTag);
-      StartNs = Trace::nowNs();
+      StartNs = Trace::spanStartNs();
     }
   }
   ~Span() {

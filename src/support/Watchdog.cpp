@@ -14,6 +14,7 @@
 #include "support/Telemetry.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
@@ -22,28 +23,11 @@
 
 using namespace pdt;
 
-namespace pdt::detail {
-
-/// One stage's progress slot. The stage's threads store beats; the
-/// monitor reads them. Edge-triggered: Stalled latches until the next
-/// beat.
-struct HeartbeatSlot {
-  const char *Stage = nullptr;
-  std::atomic<uint64_t> LastBeatMs{0};
-  uint64_t QuietMs = 0; ///< 0: use the watchdog default.
-  std::atomic<bool> Stalled{false};
-  std::atomic<bool> Live{true};
-};
-
-} // namespace pdt::detail
-
 namespace {
-
-using pdt::detail::HeartbeatSlot;
 
 struct WatchdogState {
   std::mutex M;
-  std::vector<std::shared_ptr<HeartbeatSlot>> Slots;
+  std::vector<Heartbeat *> Live; ///< The armed heartbeats.
   std::atomic<bool> Enabled{false};
   double StallFactor = Watchdog::DefaultStallFactor;
   uint64_t QuietMs = Watchdog::DefaultQuietMs;
@@ -64,81 +48,25 @@ uint64_t nowMs() {
   return static_cast<uint64_t>(Trace::nowNs() / 1000000);
 }
 
-/// One monitor sweep over the registered slots; prunes retired ones.
-unsigned pollOnce() {
-  WatchdogState &S = state();
-  if (!S.Enabled.load(std::memory_order_relaxed))
-    return 0;
-  uint64_t Now = nowMs();
-  unsigned NewStalls = 0;
-  std::vector<std::shared_ptr<HeartbeatSlot>> Stalled;
-  {
-    std::lock_guard<std::mutex> Lock(S.M);
-    for (size_t I = 0; I != S.Slots.size();) {
-      HeartbeatSlot &Slot = *S.Slots[I];
-      if (!Slot.Live.load(std::memory_order_relaxed)) {
-        S.Slots.erase(S.Slots.begin() + static_cast<ptrdiff_t>(I));
-        continue;
-      }
-      uint64_t Quiet = Slot.QuietMs ? Slot.QuietMs : S.QuietMs;
-      uint64_t Threshold =
-          static_cast<uint64_t>(static_cast<double>(Quiet) * S.StallFactor);
-      uint64_t Last = Slot.LastBeatMs.load(std::memory_order_relaxed);
-      if (Now > Last && Now - Last > Threshold &&
-          !Slot.Stalled.exchange(true, std::memory_order_relaxed)) {
-        ++NewStalls;
-        Stalled.push_back(S.Slots[I]);
-      }
-      ++I;
-    }
-  }
-  // Verdicts outside the registry lock: the journal and the dump may
-  // do I/O.
-  for (const std::shared_ptr<HeartbeatSlot> &Slot : Stalled) {
-    S.Stalls.fetch_add(1, std::memory_order_relaxed);
-    Metrics::count(Metric::WatchdogStalls);
-    uint64_t Quiet = Slot->QuietMs ? Slot->QuietMs : S.QuietMs;
-    uint64_t Last = Slot->LastBeatMs.load(std::memory_order_relaxed);
-    EventLog::event(EventSeverity::Error, "monitor", "watchdog-stall",
-                    Slot->Stage,
-                    {{"silent_ms", Now > Last ? Now - Last : 0},
-                     {"quiet_ms", Quiet}});
-    if (FlightRecorder::enabled())
-      FlightRecorder::postmortem("watchdog-stall");
-  }
-  return NewStalls;
-}
-
 } // namespace
 
-Heartbeat::Heartbeat(const char *Stage, uint64_t QuietMs) {
+Heartbeat::Heartbeat(const char *Stage, uint64_t QuietMs)
+    : Stage(Stage), QuietMs(QuietMs) {
   if (!Watchdog::enabled())
     return;
+  Armed = true;
+  LastProgressMs = nowMs();
   WatchdogState &S = state();
-  auto NewSlot = std::make_shared<HeartbeatSlot>();
-  NewSlot->Stage = Stage;
-  NewSlot->QuietMs = QuietMs;
-  NewSlot->LastBeatMs.store(nowMs(), std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> Lock(S.M);
-    S.Slots.push_back(NewSlot);
-  }
-  Slot = std::move(NewSlot);
+  std::lock_guard<std::mutex> Lock(S.M);
+  S.Live.push_back(this);
 }
 
 Heartbeat::~Heartbeat() {
-  if (Slot)
-    Slot->Live.store(false, std::memory_order_relaxed);
-}
-
-void Heartbeat::beat() {
-  if (!Slot)
+  if (!Armed)
     return;
-  Slot->LastBeatMs.store(nowMs(), std::memory_order_relaxed);
-  // A beat after a stall verdict re-arms the episode: the stage
-  // recovered, so a later stall is new information.
-  if (Slot->Stalled.load(std::memory_order_relaxed))
-    Slot->Stalled.store(false, std::memory_order_relaxed);
+  WatchdogState &S = state();
+  std::lock_guard<std::mutex> Lock(S.M);
+  S.Live.erase(std::remove(S.Live.begin(), S.Live.end(), this), S.Live.end());
 }
 
 bool Watchdog::enabled() {
@@ -150,7 +78,7 @@ bool Watchdog::start(double StallFactor, uint64_t QuietMs, uint64_t PollMs) {
   WatchdogState &S = state();
   {
     std::lock_guard<std::mutex> Lock(S.M);
-    S.Slots.clear();
+    S.Live.clear();
     S.StallFactor = StallFactor >= 1.0 ? StallFactor : 1.0;
     S.QuietMs = QuietMs ? QuietMs : DefaultQuietMs;
   }
@@ -160,7 +88,7 @@ bool Watchdog::start(double StallFactor, uint64_t QuietMs, uint64_t PollMs) {
   if (!EventLog::enabled())
     EventLog::start("");
   S.Enabled.store(true, std::memory_order_relaxed);
-  S.Monitor.start(PollMs, [] { pollOnce(); });
+  S.Monitor.start(PollMs, [] { pollOnceForTest(); });
   return true;
 }
 
@@ -174,7 +102,53 @@ uint64_t Watchdog::stallCount() {
   return state().Stalls.load(std::memory_order_relaxed);
 }
 
-unsigned Watchdog::pollOnceForTest() { return pollOnce(); }
+/// One sweep over the armed heartbeats. A stage whose beat count moved
+/// since the last sweep made progress now; one whose count stood still
+/// has been silent since the last sweep that saw it move.
+unsigned Watchdog::pollOnceForTest() {
+  WatchdogState &S = state();
+  if (!S.Enabled.load(std::memory_order_relaxed))
+    return 0;
+  uint64_t Now = nowMs();
+  struct Verdict {
+    const char *Stage;
+    uint64_t SilentMs, QuietMs;
+  };
+  std::vector<Verdict> Stalled;
+  {
+    std::lock_guard<std::mutex> Lock(S.M);
+    for (Heartbeat *HB : S.Live) {
+      uint64_t Beats = HB->Beats.load(std::memory_order_relaxed);
+      if (Beats != HB->SeenBeats) {
+        // A beat after a stall verdict re-arms the episode: the stage
+        // recovered, so a later stall is new information.
+        HB->SeenBeats = Beats;
+        HB->LastProgressMs = Now;
+        HB->Stalled = false;
+        continue;
+      }
+      uint64_t Quiet = HB->QuietMs ? HB->QuietMs : S.QuietMs;
+      uint64_t Threshold =
+          static_cast<uint64_t>(static_cast<double>(Quiet) * S.StallFactor);
+      uint64_t Silent = Now > HB->LastProgressMs ? Now - HB->LastProgressMs : 0;
+      if (Silent > Threshold && !HB->Stalled) {
+        HB->Stalled = true;
+        Stalled.push_back({HB->Stage, Silent, Quiet});
+      }
+    }
+  }
+  // Verdicts outside the lock: the journal and the dump may do I/O.
+  for (const Verdict &V : Stalled) {
+    S.Stalls.fetch_add(1, std::memory_order_relaxed);
+    Metrics::count(Metric::WatchdogStalls);
+    EventLog::event(EventSeverity::Error, "monitor", "watchdog-stall",
+                    V.Stage,
+                    {{"silent_ms", V.SilentMs}, {"quiet_ms", V.QuietMs}});
+    if (FlightRecorder::enabled())
+      FlightRecorder::postmortem("watchdog-stall");
+  }
+  return static_cast<unsigned>(Stalled.size());
+}
 
 void Watchdog::setClockForTest(uint64_t (*NowMs)()) {
   state().ClockMs.store(NowMs, std::memory_order_relaxed);

@@ -18,9 +18,12 @@
 /// Policy (see DESIGN.md "Continuous observability"):
 ///
 ///   * a Heartbeat constructed while the watchdog is disarmed is a
-///     permanent no-op — beat() costs one pointer test;
-///   * armed, beat() is one clock read and one relaxed store into the
-///     stage's slot — safe from any thread, any frequency;
+///     permanent no-op — beat() is an inline null test;
+///   * armed, beat() is one relaxed increment of the stage's progress
+///     count and reads no clock — safe from any thread, any frequency.
+///     Each sweep compares the count with the one it saw last and times
+///     the silence on its own clock, so a stage that keeps beating is
+///     never flagged;
 ///   * stall threshold = QuietMs * StallFactor, where QuietMs is the
 ///     per-stage value (deadline-derived) or the watchdog default;
 ///   * verdicts are edge-triggered per episode and never abort the
@@ -35,19 +38,15 @@
 #ifndef PDT_SUPPORT_WATCHDOG_H
 #define PDT_SUPPORT_WATCHDOG_H
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 namespace pdt {
 
-namespace detail {
-struct HeartbeatSlot;
-}
-
 /// RAII progress probe for one stage. Register at stage entry, call
 /// beat() whenever forward progress happens (per job, per pair chunk,
-/// per kernel); destruction retires the slot.
+/// per kernel); destruction unregisters the stage.
 class Heartbeat {
 public:
   /// \p Stage must be a string literal; \p QuietMs overrides the
@@ -58,11 +57,22 @@ public:
   Heartbeat(const Heartbeat &) = delete;
   Heartbeat &operator=(const Heartbeat &) = delete;
 
-  /// Records forward progress. Thread-safe (relaxed store).
-  void beat();
+  /// Records forward progress. Thread-safe (relaxed increment).
+  void beat() {
+    if (Armed)
+      Beats.fetch_add(1, std::memory_order_relaxed);
+  }
 
 private:
-  std::shared_ptr<detail::HeartbeatSlot> Slot;
+  friend class Watchdog; // Its sweep reads Beats and owns the rest.
+  const char *Stage;
+  uint64_t QuietMs; ///< 0: use the watchdog default.
+  bool Armed = false;
+  /// On a cache line of its own: the stage's workers all bump it.
+  alignas(64) std::atomic<uint64_t> Beats{0};
+  uint64_t SeenBeats = 0;      ///< Beats at the last sweep.
+  uint64_t LastProgressMs = 0; ///< When a sweep last saw Beats move.
+  bool Stalled = false;        ///< Latched until Beats moves again.
 };
 
 class Watchdog {

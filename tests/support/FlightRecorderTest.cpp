@@ -145,7 +145,9 @@ TEST_P(FlightRecorderContentionTest, SnapshotNeverTearsUnderContention) {
   // Each writer holds its last record until a snapshot that started
   // after it got there, so while it was still writing, has completed:
   // the reader provably overlaps every writer, however the threads are
-  // scheduled.
+  // scheduled. No writer exits before every writer has recorded, since
+  // a thread that starts after another exited takes over its ring.
+  std::atomic<unsigned> Finished{0};
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T != Writers; ++T)
     Threads.emplace_back([&, T] {
@@ -155,6 +157,9 @@ TEST_P(FlightRecorderContentionTest, SnapshotNeverTearsUnderContention) {
       while (SnapshotsTaken.load() <= Started)
         std::this_thread::yield();
       recordSelfChecking(1, Base + PerThread - 1);
+      Finished.fetch_add(1);
+      while (Finished.load() != Writers)
+        std::this_thread::yield();
     });
   for (std::thread &T : Threads)
     T.join();

@@ -13,8 +13,9 @@
 // the test body and must not unlink what its own arming opened.
 //
 // The quickstart test runs an example that references neither Profile
-// nor Sampler, so its sinks arm only when the arming point sits in an
-// object every instrumented binary links.
+// nor Sampler, so its sinks arm, and its profile names test kinds, only
+// when the arming point and the kind namer sit in objects every
+// instrumented binary links.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -177,6 +179,16 @@ TEST(EnvArming, QuickstartWritesProfileAndTimeSeries) {
       << ProfilePath << " is missing or not JSON: " << Error;
   EXPECT_EQ(Profile->stringAt("schema").value_or(""), "pdt-profile-v1");
   EXPECT_GT(Profile->uintAt("events").value_or(0), 0u);
+  bool StrongSIV = false;
+  if (const json::Value *ByKind = Profile->find("by_kind"))
+    for (const json::Value &Row : ByKind->asArray()) {
+      std::string Key = Row.stringAt("key").value_or("");
+      StrongSIV |= Key == "strong SIV";
+      EXPECT_FALSE(Key.size() > 4 && Key.compare(0, 4, "kind") == 0 &&
+                   std::isdigit(static_cast<unsigned char>(Key[4])))
+          << "unnamed test kind " << Key;
+    }
+  EXPECT_TRUE(StrongSIV) << "by_kind has no \"strong SIV\" row";
 
   uint64_t Builds = 0;
   for (const json::Value &Sample :
